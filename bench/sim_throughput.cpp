@@ -72,13 +72,12 @@ main(int argc, char **argv)
                                .with_scale(smoke ? 0.05 : 0.4)
                                .with_measure_ops(smoke ? 20'000 : 2'000'000)
                                .with_warmup_ops(smoke ? 5'000 : 100'000);
-    // Throughput configuration: a coarser scheduling quantum and a deep
-    // walk register file so dispatch batches actually reach the WRF
-    // depth (the experiment default slice_ops=2 caps batches at 2 ops).
-    // The bench measures simulator speed, not a paper figure, so the
-    // interleave change is free.
+    // Throughput configuration: a coarser scheduling quantum than the
+    // experiment default slice_ops=2, so each job runs 64 ops back to
+    // back between context switches. The bench measures simulator
+    // speed, not a paper figure, so the interleave change is free; the
+    // checked-in floor was measured at this quantum.
     mixed.platform.slice_ops = 64;
-    mixed.platform.walk_batch = 32;
     if (smoke) {
         mixed.platform.guest_frames = 16 * 1024;
         mixed.platform.host_frames = 24 * 1024;
@@ -143,29 +142,6 @@ main(int argc, char **argv)
             ++failures;
         }
     }
-
-    // Stage breakdown side-run: same scenario at reduced length with the
-    // host-side stage timers armed. Separate from the headline legs so
-    // the clock reads never perturb the reported throughput.
-    ScenarioConfig timed = mixed;
-    timed.platform.stage_timing = true;
-    timed.with_measure_ops(smoke ? 5'000 : 400'000)
-        .with_warmup_ops(smoke ? 1'000 : 50'000);
-    ScenarioResult timed_result = run_scenario(timed);
-    const StageTimes &stages = timed_result.stage_times;
-    if (stages.total_ns() > 0) {
-        double total = static_cast<double>(stages.total_ns());
-        std::printf("sim_throughput: stages    dispatch=%.1f%% "
-                    "walk=%.1f%% retire=%.1f%% stats=%.1f%% "
-                    "(side-run, %llu ops)\n",
-                    100.0 * static_cast<double>(stages.dispatch_ns) / total,
-                    100.0 * static_cast<double>(stages.walk_ns) / total,
-                    100.0 * static_cast<double>(stages.retire_ns) / total,
-                    100.0 * static_cast<double>(stages.stats_ns) / total,
-                    static_cast<unsigned long long>(
-                        timed_result.total_ops));
-    }
-    check(stages.total_ns() > 0, "stage timers recorded the side-run");
 
     if (failures == 0)
         std::printf("sim_throughput: OK (%s mode)\n",

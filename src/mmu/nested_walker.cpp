@@ -40,13 +40,9 @@ NestedWalker::host_translate(std::uint64_t gfn, TranslationResult &result)
     if (host_.radix != nullptr)
         return host_walk_radix(gfn, result);
     for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
-        // Resumable descent: pull one step at a time through the step
-        // cursor — same touch order and accounting as walking first and
-        // iterating a buffer afterwards, without the buffer round-trip.
-        pt::StepCursor &cur = host_cursor_;
-        host_.page_table->walk_begin(gfn, cur);
-        pt::WalkStep step;
-        while (host_.page_table->walk_next(cur, step)) {
+        pt::WalkResult walk = host_.page_table->walk(gfn, host_steps_);
+        for (unsigned i = 0; i < walk.steps; ++i) {
+            const pt::WalkStep &step = host_steps_[i];
             cache::AccessResult access = hierarchy_->access(
                 core_, step.entry_paddr, cache::AccessKind::HostPt);
             result.walk_cycles += access.latency;
@@ -59,8 +55,8 @@ NestedWalker::host_translate(std::uint64_t gfn, TranslationResult &result)
                 stats_.host_pt_level_mem.record(step.level);
             }
         }
-        if (cur.complete) {
-            std::uint64_t hfn = step.pte.frame();
+        if (walk.complete) {
+            std::uint64_t hfn = host_steps_[walk.steps - 1].pte.frame();
             nested_tlb_.insert(gfn, hfn);
             return hfn;
         }
@@ -128,33 +124,31 @@ NestedWalker::walk_guest_once(GuestContext &guest, std::uint64_t gvpn,
     if (guest.radix != nullptr)
         return walk_guest_radix(guest, gvpn, result);
 
-    // Resumable descent through the step cursor: one level at a time,
-    // so each level closes its own pipeline round (note_round) the
-    // moment its accesses are charged.
-    pt::TranslationTable &table = *guest.page_table;
-    pt::StepCursor &cur = guest_cursor_;
-    table.walk_begin(gvpn, cur);
+    // Walk first, then account the steps in touch order: the walk is a
+    // pure read, and the host faults host_translate may take below never
+    // write the guest table, so the caches see the same touches as a
+    // level-by-level descent.
+    pt::WalkResult walk = guest.page_table->walk(gvpn, guest_steps_);
+    unsigned first = 0;
 
     // The PWC can let the walker skip upper guest levels whose node it
     // already knows; it caches node frames, so validate the hit against
     // the current walk (a stale hit after unmap simply misses here).
     // Non-radix tables have no stable level->node contract, so the PWC
-    // is bypassed for them (guest.use_pwc) — walk_peek/walk_skip only
-    // ever run against the buffered cursor of a radix-contract table.
+    // is bypassed for them (guest.use_pwc).
     if (guest.use_pwc) {
         if (std::optional<tlb::PageWalkCache::Hit> hit =
                 pwc_.lookup(gvpn)) {
-            const pt::WalkStep *resume =
-                table.walk_peek(cur, hit->resume_level);
-            if (resume != nullptr &&
-                resume->node_frame == hit->node_frame) {
-                table.walk_skip(cur, hit->resume_level);
+            if (hit->resume_level < walk.steps &&
+                guest_steps_[hit->resume_level].node_frame ==
+                    hit->node_frame) {
+                first = hit->resume_level;
             }
         }
     }
 
-    pt::WalkStep step;
-    while (table.walk_next(cur, step)) {
+    for (unsigned i = first; i < walk.steps; ++i) {
+        const pt::WalkStep &step = guest_steps_[i];
         // The guest-PT node lives at a guest-physical frame; the walker
         // needs its host-physical address first (the "2D" part).
         std::uint64_t node_hfn = host_translate(step.node_frame, result);
@@ -173,9 +167,6 @@ NestedWalker::walk_guest_once(GuestContext &guest, std::uint64_t gvpn,
             stats_.guest_pt_level_mem.record(step.level);
         }
 
-        // One guest level (nested host sub-walk included) = one round.
-        note_round(result);
-
         if (!step.pte.present()) {
             // Guest page fault: the guest kernel allocates and maps.
             FaultOutcome fault = guest.fault_handler(gvpn);
@@ -190,16 +181,16 @@ NestedWalker::walk_guest_once(GuestContext &guest, std::uint64_t gvpn,
             return std::nullopt;  // retry the walk against the new PT state
         }
 
-        if (guest.use_pwc && !cur.done)
+        if (guest.use_pwc && i + 1 < walk.steps)
             pwc_.insert(gvpn, step.level, step.pte.frame());
     }
 
-    if (!cur.complete) {
+    if (!walk.complete) {
         // An incomplete walk ends on a non-present entry, which is
         // handled above; reaching here without completion cannot happen.
         ptm_panic("guest walk stopped early without fault");
     }
-    return step.pte.frame();
+    return guest_steps_[walk.steps - 1].pte.frame();
 }
 
 std::optional<std::uint64_t>
@@ -250,9 +241,6 @@ NestedWalker::walk_guest_radix(GuestContext &guest, std::uint64_t gvpn,
             stats_.guest_pt_level_mem.record(cur.level());
         }
 
-        // One guest level (nested host sub-walk included) = one round.
-        note_round(result);
-
         pt::Pte pte = cur.pte();
         if (!pte.present()) {
             // Guest page fault: the guest kernel allocates and maps.
@@ -274,28 +262,6 @@ NestedWalker::walk_guest_radix(GuestContext &guest, std::uint64_t gvpn,
             pwc_.insert(gvpn, cur.level(), pte.frame());
         cur.descend();
     }
-}
-
-void
-NestedWalker::walk_to_completion(GuestContext &guest, std::uint64_t gvpn,
-                                 TranslationResult &result)
-{
-    stats_.tlb_misses.inc();
-    for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
-        std::optional<std::uint64_t> data_gfn =
-            walk_guest_once(guest, gvpn, result);
-        if (!data_gfn)
-            continue;  // faulted; PT changed; retry
-
-        // Final host walk: translate the data page itself — the last
-        // pipeline round of the walk.
-        result.gfn = *data_gfn;
-        result.hfn = host_translate(*data_gfn, result);
-        note_round(result);
-        tlb_.insert(gvpn, result.hfn);
-        return;
-    }
-    ptm_panic("guest translation did not converge");
 }
 
 TranslationResult
@@ -322,36 +288,22 @@ NestedWalker::translate(GuestContext &guest, Addr gva)
         return result;
     }
 
-    walk_to_completion(guest, gvpn, result);
-    stats_.walk_cycles_hist.record(result.walk_cycles);
-    return result;
-}
+    // The full 2D walk: the guest walk (faulting and retrying until it
+    // completes), then the final host walk of the data page itself.
+    stats_.tlb_misses.inc();
+    for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
+        std::optional<std::uint64_t> data_gfn =
+            walk_guest_once(guest, gvpn, result);
+        if (!data_gfn)
+            continue;  // faulted; PT changed; retry
 
-TranslationResult
-NestedWalker::translate_l1_missed(GuestContext &guest, Addr gva)
-{
-    TranslationResult result;
-    std::uint64_t gvpn = page_number(gva);
-    if (std::optional<std::uint64_t> hfn = tlb_.lookup_l2_fill_l1(gvpn)) {
-        stats_.tlb_l2_hits.inc();
-        result.hfn = *hfn;
-        result.tlb_hit = true;
-        result.cycles = kStlbHitPenalty;
+        result.gfn = *data_gfn;
+        result.hfn = host_translate(*data_gfn, result);
+        tlb_.insert(gvpn, result.hfn);
+        stats_.walk_cycles_hist.record(result.walk_cycles);
         return result;
     }
-
-    // Issue the walk into the register file before it starts, so the
-    // per-level pipeline rounds stream into the slot as the walk
-    // advances; its histogram entry is recorded when end_batch()
-    // retires the batch in program order.
-    WalkRegisterFile::Slot &slot = wrf_.allocate();
-    active_slot_ = &slot;
-    round_mark_ = 0;
-    walk_to_completion(guest, gvpn, result);
-    active_slot_ = nullptr;
-    slot.walk_cycles = result.walk_cycles;
-    slot.fault_cycles = result.cycles - result.walk_cycles;
-    return result;
+    ptm_panic("guest translation did not converge");
 }
 
 void
@@ -388,7 +340,6 @@ NestedWalker::register_stats(obs::StatRegistry &registry,
                        &stats_.guest_pt_level_mem, scope);
     registry.histogram(w + ".host_pt_level_mem",
                        &stats_.host_pt_level_mem, scope);
-    wrf_.register_stats(registry, w);
 
     tlb_.register_stats(registry, prefix);
     pwc_.register_stats(registry, prefix);

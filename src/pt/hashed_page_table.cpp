@@ -261,63 +261,6 @@ HashedPageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
     return WalkResult{.steps = kMaxWalkSteps, .complete = false};
 }
 
-void
-HashedPageTable::walk_begin(std::uint64_t vpn, StepCursor &cur) const
-{
-    cur.vpn = vpn;
-    cur.home = hash_vpn(vpn) & (slots_.size() - 1);
-    cur.probe = 0;
-    cur.complete = false;
-    cur.done = false;
-}
-
-bool
-HashedPageTable::walk_next(StepCursor &cur, WalkStep &step) const
-{
-    // One probe of walk()'s loop, produced incrementally. The probes
-    // counter is charged once, when the terminal step is produced —
-    // the same single inc-by-step-count walk() performs (the walker
-    // always consumes a walk through its terminal step: every earlier
-    // step reports a present entry).
-    if (cur.done)
-        return false;
-    const unsigned i = cur.probe++;
-    const std::uint64_t s = probe_slot(cur.home, i);
-    const Slot &slot = slots_[s];
-    step.level = i;
-    step.node_frame = frames_[s / kSlotsPerFrame];
-    step.index = static_cast<unsigned>(s % kSlotsPerFrame);
-    step.entry_paddr = slot_paddr(s);
-    if (slot.state == SlotState::Occupied && slot.vpn == cur.vpn) {
-        step.pte = slot.pte;
-        cur.complete = true;
-        cur.done = true;
-        hashed_stats_.probes.inc(i + 1);
-        return true;
-    }
-    if (slot.state == SlotState::Empty) {
-        step.pte = Pte{};
-        cur.done = true;
-        hashed_stats_.probes.inc(i + 1);
-        return true;
-    }
-    if (i == kMaxWalkSteps - 1) {
-        // Probe bound exhausted on a non-matching slot: walk() rewrites
-        // this final step to a non-present entry retroactively; the
-        // incremental walk knows it is terminal and emits it directly.
-        step.pte = Pte{};
-        cur.done = true;
-        hashed_stats_.probes.inc(kMaxWalkSteps);
-        return true;
-    }
-    // Foreign entry or tombstone mid-chain: present, keep probing.
-    step.pte = Pte::encode(
-        {.present = true,
-         .frame = slot.state == SlotState::Occupied ? slot.pte.frame()
-                                                    : 0});
-    return true;
-}
-
 std::optional<Addr>
 HashedPageTable::leaf_entry_paddr(std::uint64_t vpn) const
 {

@@ -63,12 +63,6 @@ class HashedPageTable final : public TranslationTable {
     WalkResult walk(std::uint64_t vpn, WalkSteps &steps) const override;
     std::optional<Addr> leaf_entry_paddr(std::uint64_t vpn) const override;
 
-    /// Native resumable walk: probes are produced one at a time from
-    /// home/probe cursor state — no step buffer — with steps and probe
-    /// accounting identical to walk().
-    void walk_begin(std::uint64_t vpn, StepCursor &cur) const override;
-    bool walk_next(StepCursor &cur, WalkStep &step) const override;
-
     std::uint64_t root_frame() const override { return frames_.front(); }
     std::uint64_t node_count() const override { return frames_.size(); }
     const PageTableStats &stats() const override { return stats_; }

@@ -55,35 +55,6 @@ struct WalkResult {
 /// Step buffer a walker hands to walk(); sized for any table.
 using WalkSteps = std::array<WalkStep, kMaxWalkSteps>;
 
-/**
- * Resumable-walk state for TranslationTable::walk_begin()/walk_next():
- * the per-level pipeline in the nested walker pulls walk steps one at a
- * time instead of materializing a whole step buffer per attempt. One
- * POD blob, owned by the walker and reused across walks — no allocation
- * on the walk path. Tables interpret only their own fields: the
- * buffered default fills steps/count/next via walk(); native
- * implementations (HashedPageTable) use vpn/home/probe and leave the
- * buffer untouched.
- */
-struct StepCursor {
-    std::uint64_t vpn = 0;
-
-    // Buffered default (walk() output, doled out step by step).
-    WalkSteps steps{};
-    unsigned count = 0;
-    unsigned next = 0;
-
-    // Native hashed-probe state.
-    std::uint64_t home = 0;   ///< home slot of vpn's probe sequence
-    unsigned probe = 0;       ///< probes produced so far
-
-    /// True iff the terminal step produced was the leaf translation
-    /// (the walk() "complete" bit, valid once done is set).
-    bool complete = false;
-    /// True once the terminal step has been produced.
-    bool done = false;
-};
-
 /// Table-population counters (shared across implementations).
 struct PageTableStats {
     Counter nodes_allocated;
@@ -150,69 +121,6 @@ class TranslationTable {
      * with the PWC bypassed.
      */
     virtual bool radix_levels() const { return false; }
-
-    // ---- resumable step interface ----------------------------------
-    //
-    // walk_begin()/walk_next() produce the exact step sequence of
-    // walk(), one step at a time, so the nested walker can advance a
-    // walk level by level (and account each level as its own pipeline
-    // round) without a step buffer round-trip per attempt. The default
-    // implementations buffer walk() output in the cursor; tables with a
-    // naturally incremental walk (HashedPageTable) override them and
-    // must reproduce walk()'s steps — and its stat accounting — bit for
-    // bit.
-
-    /// Start a resumable walk of @p vpn into @p cur (reusable blob).
-    virtual void
-    walk_begin(std::uint64_t vpn, StepCursor &cur) const
-    {
-        cur.vpn = vpn;
-        cur.next = 0;
-        WalkResult result = walk(vpn, cur.steps);
-        cur.count = result.steps;
-        cur.complete = result.complete;
-        cur.done = false;
-    }
-
-    /**
-     * Produce the next step of the walk, or return false when the
-     * terminal step has already been produced. After the call that
-     * returns the terminal step, cur.done is true and cur.complete
-     * reports whether that step was the leaf translation.
-     */
-    virtual bool
-    walk_next(StepCursor &cur, WalkStep &step) const
-    {
-        if (cur.next >= cur.count) {
-            cur.done = true;
-            return false;
-        }
-        step = cur.steps[cur.next++];
-        if (cur.next >= cur.count)
-            cur.done = true;
-        return true;
-    }
-
-    /**
-     * Step @p i of the walk without consuming anything, or nullptr when
-     * the walk has fewer steps. Only meaningful for tables with
-     * radix_levels() (the page-walk-cache resume check); the buffered
-     * default serves them, and non-radix tables run with the PWC
-     * bypassed so their native cursors never see a peek.
-     */
-    virtual const WalkStep *
-    walk_peek(const StepCursor &cur, unsigned i) const
-    {
-        return i < cur.count ? &cur.steps[i] : nullptr;
-    }
-
-    /// Skip the cursor forward so the next step produced is step @p to
-    /// (PWC resume). Same radix_levels()-only contract as walk_peek().
-    virtual void
-    walk_skip(StepCursor &cur, unsigned to) const
-    {
-        cur.next = to < cur.count ? to : cur.count;
-    }
 };
 
 }  // namespace ptm::pt

@@ -428,7 +428,6 @@ run_scenario(const ScenarioConfig &config)
         workload::TraceFile::write(config.trace_record, recorders);
 
     result.total_ops = system.total_steps();
-    result.stage_times = system.stage_times();
     result.host_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)

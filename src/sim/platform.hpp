@@ -43,23 +43,6 @@ struct PlatformConfig {
     /// processes.
     unsigned slice_ops = 2;
 
-    /// Walk-register-file depth: how many independent translations one
-    /// core keeps in flight per dispatch batch. The effective batch is
-    /// min(walk_batch, remaining slice), so scheduling interleave and
-    /// every end-of-run metric are identical at any depth; 1 restores
-    /// the historic one-op step loop exactly.
-    unsigned walk_batch = 8;
-    /// Opt-in MLP timing model: the walk cycles of one batch are charged
-    /// as the batch critical path (max) instead of the serial sum,
-    /// modelling overlapped page walks. Changes simulated cycles (never
-    /// counters), so it is off by default and excluded from the golden
-    /// bit-identity contract.
-    bool overlapped_walk_timing = false;
-    /// Collect a host-time breakdown of the dispatch/walk/retire/stats
-    /// stages (two clock reads per stage per batch — measurable overhead,
-    /// so off by default; sim_throughput enables it on a side run).
-    bool stage_timing = false;
-
     /// Master seed for scheduler jitter and random replacement.
     std::uint64_t seed = 12345;
 

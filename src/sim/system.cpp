@@ -1,7 +1,6 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -103,10 +102,6 @@ System::System(const PlatformConfig &config, unsigned num_cores)
                 return;
             }
         };
-
-    batch_depth_ = config_.walk_batch < 1 ? 1 : config_.walk_batch;
-    if (batch_depth_ > mmu::WalkRegisterFile::kCapacity)
-        batch_depth_ = mmu::WalkRegisterFile::kCapacity;
 }
 
 System::~System() = default;
@@ -678,7 +673,7 @@ System::step(Job &job)
 
     // PML model: hardware logs the dirtied GPA when a *write walk*
     // retires — TLB hits set no dirty bit worth logging (and gfn is only
-    // learned by walks anyway). Same condition as the batched path.
+    // learned by walks anyway).
     if (dirty_log_armed_ && op->write && !trans.tlb_hit)
         job.slot_->dirty_ring->log(trans.gfn);
 
@@ -705,107 +700,6 @@ System::step(Job &job)
              {"walk_cycles", trans.walk_cycles},
              {"faulted", static_cast<std::uint64_t>(trans.faulted)}});
     }
-}
-
-template <bool Timed>
-unsigned
-System::step_batch_impl(Job &job, unsigned max_ops)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto elapsed_ns = [](Clock::time_point from, Clock::time_point to) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
-                .count());
-    };
-
-    if (job.finished_ || job.paused_)
-        return 0;
-    if (max_ops > mmu::WalkRegisterFile::kCapacity)
-        max_ops = mmu::WalkRegisterFile::kCapacity;
-
-    Clock::time_point t0;
-    if constexpr (Timed)
-        t0 = Clock::now();
-
-    workload::MemOp ops[mmu::WalkRegisterFile::kCapacity];
-    unsigned n =
-        job.workload_->next_batch(*job.workload_ctx_, ops, max_ops);
-
-    if constexpr (Timed) {
-        Clock::time_point t1 = Clock::now();
-        stage_times_.dispatch_ns += elapsed_ns(t0, t1);
-        t0 = t1;
-    }
-
-    if (n == 0) {
-        job.finished_ = true;
-        return 0;
-    }
-
-    mmu::NestedWalker &walker = *job.walker_;
-    walker.begin_batch();
-    std::uint64_t l1_hits = 0;
-    std::uint64_t mem_accesses = 0;
-    Cycles cycles = static_cast<Cycles>(n) * config_.base_op_cycles;
-    Cycles data_cycles = 0;
-
-    for (unsigned i = 0; i < n; ++i) {
-        const workload::MemOp op = ops[i];
-        const std::uint64_t gvpn = page_number(op.gva);
-        std::uint64_t hfn;
-        if (std::optional<std::uint64_t> hit = walker.lookup_l1(gvpn)) {
-            ++l1_hits;
-            hfn = *hit;
-        } else {
-            mmu::TranslationResult trans =
-                walker.translate_l1_missed(job.guest_ctx_, op.gva);
-            cycles += trans.cycles;
-            hfn = trans.hfn;
-            // Mirrors the serial step(): L1 hits above never log, and
-            // trans.tlb_hit here covers the L2 hit case.
-            if (dirty_log_armed_ && op.write && !trans.tlb_hit)
-                job.slot_->dirty_ring->log(trans.gfn);
-        }
-        if constexpr (Timed) {
-            Clock::time_point t1 = Clock::now();
-            stage_times_.walk_ns += elapsed_ns(t0, t1);
-            t0 = t1;
-        }
-
-        Addr hpa = hfn * kPageSize + (op.gva & kPageOffsetMask);
-        cache::AccessResult data =
-            hierarchy_->access(job.core_, hpa, cache::AccessKind::Data);
-        cycles += data.latency;
-        data_cycles += data.latency;
-        mem_accesses += static_cast<std::uint64_t>(
-            data.served_by == cache::ServedBy::Memory);
-        if constexpr (Timed) {
-            Clock::time_point t1 = Clock::now();
-            stage_times_.retire_ns += elapsed_ns(t0, t1);
-            t0 = t1;
-        }
-    }
-
-    Cycles overlap = walker.end_batch(n, l1_hits);
-    if (config_.overlapped_walk_timing)
-        cycles -= overlap;
-
-    total_steps_ += n;
-    job.stats_.ops.inc(n);
-    job.stats_.cycles.inc(cycles);
-    job.stats_.data_accesses.inc(n);
-    job.stats_.data_cycles.inc(data_cycles);
-    job.stats_.data_mem_accesses.inc(mem_accesses);
-    if constexpr (Timed)
-        stage_times_.stats_ns += elapsed_ns(t0, Clock::now());
-    return n;
-}
-
-unsigned
-System::step_batch(Job &job, unsigned max_ops)
-{
-    return config_.stage_timing ? step_batch_impl<true>(job, max_ops)
-                                : step_batch_impl<false>(job, max_ops);
 }
 
 void

@@ -56,22 +56,6 @@ struct JobStats {
 
 class System;
 
-/// Host-nanosecond breakdown of the batched dispatch loop, accumulated
-/// only when PlatformConfig::stage_timing is set (host-side provenance,
-/// never simulated state).
-struct StageTimes {
-    std::uint64_t dispatch_ns = 0;  ///< workload next_batch fills
-    std::uint64_t walk_ns = 0;      ///< TLB probes + 2D walks + faults
-    std::uint64_t retire_ns = 0;    ///< data-cache access per op
-    std::uint64_t stats_ns = 0;     ///< end-of-batch counter flushes
-
-    std::uint64_t
-    total_ns() const
-    {
-        return dispatch_ns + walk_ns + retire_ns + stats_ns;
-    }
-};
-
 /**
  * One guest VM sharing the host: its host-side instance, guest kernel,
  * walker fault context, and degradation record. Slots are append-only —
@@ -291,7 +275,13 @@ class System {
     Job &fork_job(Job &parent,
                   std::unique_ptr<workload::Workload> workload);
 
-    /// Execute exactly one operation of @p job (test / tracing hook).
+    /**
+     * Execute exactly one operation of @p job: fetch it from the
+     * workload, break COW on writes once the process has forked,
+     * translate, log a retired write walk to the dirty ring, access the
+     * data line, charge the job's counters, and emit a trace event when a
+     * sink is armed. In functional mode it runs step_functional().
+     */
     void step(Job &job);
 
     // ---- functional fast-forward (replay init phases) ---------------
@@ -316,31 +306,11 @@ class System {
     void flush_microarch();
 
     /**
-     * Execute up to @p max_ops operations of @p job as one dispatch
-     * batch through the walk register file: fetch a batch from the
-     * workload, issue each op's translation + data access in program
-     * order (L1-TLB hits inline), retire the batch, flush counters once.
-     * End-of-run metrics are identical to calling step() per op.
-     * @return ops executed; 0 marks the job finished.
-     *
-     * Preconditions (run_until enforces them; direct callers must too):
-     * no trace sink armed and the job not COW-capable — both need the
-     * per-op serial path.
-     */
-    unsigned step_batch(Job &job, unsigned max_ops);
-
-    /**
      * Round-robin over non-paused, non-finished jobs in slices of
-     * config.slice_ops until @p stop returns true (checked between
-     * slices) or every job finished. Templated on the predicate so the
-     * per-slice stop check is a direct call, not a std::function hop.
-     *
-     * Within a slice, ops are dispatched in batches of
-     * min(walk_batch, remaining slice) through step_batch(); batches
-     * never cross slice boundaries, so scheduling interleave and the
-     * stop-check points are identical at every batch depth. Jobs that
-     * need per-op handling (armed trace sink, COW-capable process) take
-     * the serial step() path.
+     * config.slice_ops step() calls until @p stop returns true (checked
+     * between slices) or every job finished. Templated on the predicate
+     * so the per-slice stop check is a direct call, not a std::function
+     * hop.
      *
      * The job vector is never mutated from inside this loop: churn
      * boots/forks happen in churn_tick() between calls, and OOM kills
@@ -350,27 +320,15 @@ class System {
     void
     run_until(Stop &&stop)
     {
-        const bool batched =
-            (batch_depth_ > 1 || config_.stage_timing) &&
-            trace_ == nullptr && !functional_mode_;
         while (!stop()) {
             bool any_alive = false;
             for (auto &job : jobs_) {
                 if (job->finished_ || job->paused_)
                     continue;
                 any_alive = true;
-                if (batched && !job->cow_possible_) {
-                    unsigned left = config_.slice_ops;
-                    while (left > 0 && !job->finished_) {
-                        unsigned want =
-                            left < batch_depth_ ? left : batch_depth_;
-                        left -= step_batch(*job, want);
-                    }
-                } else {
-                    for (unsigned i = 0;
-                         i < config_.slice_ops && !job->finished_; ++i) {
-                        step(*job);
-                    }
+                for (unsigned i = 0;
+                     i < config_.slice_ops && !job->finished_; ++i) {
+                    step(*job);
                 }
                 if (stop())
                     return;
@@ -442,10 +400,6 @@ class System {
     /// the churn schedule is keyed on.
     std::uint64_t total_steps() const { return total_steps_; }
 
-    /// Dispatch-loop stage breakdown (all zeros unless
-    /// config.stage_timing is set). Host-side, never reset.
-    const StageTimes &stage_times() const { return stage_times_; }
-
     std::vector<std::unique_ptr<Job>> &jobs() { return jobs_; }
 
     /// True when a job slot (free core) is available for a new job.
@@ -499,9 +453,6 @@ class System {
     void churn_kill();
     void churn_fork();
 
-    template <bool Timed>
-    unsigned step_batch_impl(Job &job, unsigned max_ops);
-
     /// One functional-mode operation: mapping-state effects only.
     void step_functional(Job &job);
     /// Make guest frame @p gfn host-backed, taking host faults through
@@ -525,10 +476,7 @@ class System {
     obs::StatRegistry registry_;
     obs::TraceSink *trace_ = nullptr;      ///< normally unarmed
     FaultInjector *injector_ = nullptr;    ///< normally unarmed
-    /// min(config.walk_batch, register-file capacity), at least 1.
-    unsigned batch_depth_ = 1;
     bool functional_mode_ = false;
-    StageTimes stage_times_;
     /// Never registered: survives reset_measurement() as the denominator
     /// of the simulator-throughput metric.
     std::uint64_t total_steps_ = 0;

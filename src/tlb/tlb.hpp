@@ -60,9 +60,9 @@ class TlbHierarchy {
         return {TlbLevel::Miss, 0};
     }
 
-    /// L1-only probe: the first leg of lookup(), split out so the batched
-    /// dispatcher can inline the hit fast path (counters behave exactly
-    /// as in lookup()).
+    /// L1-only probe: the first leg of lookup(), split out so the walker
+    /// can tell L1 from L2 hits without a Result (counters behave
+    /// exactly as in lookup()).
     std::optional<std::uint64_t>
     lookup_l1(std::uint64_t gvpn)
     {

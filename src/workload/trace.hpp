@@ -128,8 +128,8 @@ unsigned decode_ops(const std::uint8_t *data, std::size_t len,
 
 /**
  * Transparent recorder: delegates to the wrapped workload while encoding
- * everything it does. Works on both the serial and batched dispatch
- * paths (interactions can only occur while the first op of a batch is
+ * everything it does. Works through next() and next_batch() alike
+ * (interactions can only occur while the first op of a batch is
  * generated, so appending the ops after the inner call preserves serial
  * order).
  */

@@ -61,9 +61,12 @@ class Workload {
     virtual std::optional<MemOp> next(WorkloadContext &ctx) = 0;
 
     /**
-     * Batched generation for the overlapped dispatcher: fill @p out with
-     * up to @p max ops and return the number produced; 0 means the
-     * workload completed (exactly when next() would return nullopt).
+     * Batched generation: fill @p out with up to @p max ops and return
+     * the number produced; 0 means the workload completed (exactly when
+     * next() would return nullopt). The scheduler steps ops one at a
+     * time through next(); batches serve bulk consumers — StreamCache
+     * generation, trace record/replay, and the perfbench layer
+     * benchmark's workload-generation timing.
      *
      * Batch-transparency contract: the concatenation of ops and context
      * interactions across repeated next_batch() calls must equal the

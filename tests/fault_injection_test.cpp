@@ -258,17 +258,25 @@ TEST(FaultInjectionScenarioTest, BuddyBaselineOomThrowsSimError)
 
 TEST(FaultInjectionScenarioTest, SamePlanSeedIsBitIdentical)
 {
-    ScenarioConfig config =
-        ScenarioConfig(tiny_config())
-            .with_ptemagnet()
-            .with_fault_plan(FaultPlan{}
-                                 .with_seed(77)
-                                 .deny_guest_probability(3, 0.3)
-                                 .periodic_pressure(700));
-    ScenarioResult first = run_scenario(config);
-    ScenarioResult second = run_scenario(config);
-    expect_identical(first, second);
-    EXPECT_GT(first.injected_denials, 0u);
+    // On either translation table an armed plan fires, the run
+    // completes, and a repeat is bit-identical.
+    for (const char *table : {"radix", "hashed"}) {
+        SCOPED_TRACE(table);
+        ScenarioConfig config =
+            ScenarioConfig(tiny_config())
+                .with_ptemagnet()
+                .with_table(table)
+                .with_fault_plan(FaultPlan{}
+                                     .with_seed(77)
+                                     .deny_guest_probability(3, 0.3)
+                                     .periodic_pressure(700));
+        ScenarioResult first = run_scenario(config);
+        ScenarioResult second = run_scenario(config);
+        expect_identical(first, second);
+        EXPECT_GT(first.injected_denials, 0u);
+        EXPECT_GT(first.pressure_episodes, 0u);
+        EXPECT_GE(first.victim_ops, 10'000u);
+    }
 }
 
 // ---- crash-isolated suite driver -------------------------------------

@@ -2,9 +2,12 @@
  * @file
  * Golden-metrics regression test: pins the complete simulated metric set
  * of one fixed-seed paired scenario (pagerank victim + stress-ng churn,
- * buddy vs PTEMagnet) and of one direct System run (every WalkerStats
+ * buddy vs PTEMagnet), of one direct System run (every WalkerStats
  * counter, the hierarchy's per-kind serving counters, per-level
- * CacheStats) against a checked-in snapshot.
+ * CacheStats), and of one paired fork-storm serving scenario (hashed
+ * tables, churn boots/kills/forks, overcommit reclaim, dirty rings; its
+ * whole stat registry folded into one digest per leg) against a
+ * checked-in snapshot.
  *
  * Purpose: hot-path refactors (SoA tag stores, devirtualized replacement,
  * walker changes) must keep simulated behaviour bit-identical. Any
@@ -20,6 +23,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -76,6 +81,103 @@ snapshot_of(const ScenarioResult &r)
     s["buddy_calls"] = static_cast<double>(r.buddy_calls);
     s["total_ops"] = static_cast<double>(r.total_ops);
     return s;
+}
+
+/**
+ * Fork-storm serving path at tier-1 size: the fork_storm victim on hashed
+ * tables, a churn storm whose forks make COW-capable jobs, an armed
+ * overcommit daemon on a host small enough to balloon, and dirty rings
+ * whose working-set estimates order the balloon sweeps.
+ */
+ScenarioConfig
+serving_golden_config()
+{
+    constexpr std::uint64_t kOps = 15'000;
+    ScenarioConfig config = ScenarioConfig{}
+                                .with_workload("fork_storm")
+                                .with_workload_param("request_ops", 96)
+                                .with_scale(0.25)
+                                .with_table("hashed")
+                                .with_measure_ops(kOps)
+                                .with_warmup_ops(0)
+                                .with_seed(7);
+    // 6K host frames drop below the watermarks once the storm has booted:
+    // balloon sweeps, emergency sweeps and OOM-kills all happen.
+    config.platform.guest_frames = 8192;
+    config.platform.host_frames = 6 * 1024;
+    config.with_overcommit(OvercommitPolicy{}
+                               .with_watermarks(192, 384)
+                               .with_balloon_step(96)
+                               .with_backoff(4, 64));
+    config.with_churn(ChurnPlan::storm(/*seed=*/71, /*begin_step=*/500,
+                                       /*end_step=*/kOps, /*boots=*/12,
+                                       /*kills=*/4, /*forks=*/6)
+                          .with_workload("fork_storm")
+                          .with_scale(0.1)
+                          .with_guest_frames(2048));
+    config.with_dirty_ring(DirtyRingConfig{}
+                               .with_ring_entries(256)
+                               .with_epoch_ops(2048)
+                               .with_reclaim_by_ws(true));
+    return config;
+}
+
+/// snapshot_of() plus the multi-VM survival and dirty-ring telemetry.
+Snapshot
+serving_snapshot_of(const ScenarioResult &r)
+{
+    Snapshot s = snapshot_of(r);
+    s["vms"] = static_cast<double>(r.vms.size());
+    s["host_reclaim_sweeps"] = static_cast<double>(r.host_reclaim_sweeps);
+    s["host_emergency_sweeps"] =
+        static_cast<double>(r.host_emergency_sweeps);
+    s["host_balloon_pages"] = static_cast<double>(r.host_balloon_pages);
+    s["host_frames_unbacked"] = static_cast<double>(r.host_frames_unbacked);
+    s["oom_kills"] = static_cast<double>(r.oom_kills);
+    s["churn_boots"] = static_cast<double>(r.churn_boots);
+    s["churn_kills"] = static_cast<double>(r.churn_kills);
+    s["churn_forks"] = static_cast<double>(r.churn_forks);
+    s["churn_boot_failures"] = static_cast<double>(r.churn_boot_failures);
+    s["dirty_ring_logged"] = static_cast<double>(r.dirty_ring_logged);
+    s["dirty_ring_epochs"] = static_cast<double>(r.dirty_ring_epochs);
+    s["ws_estimate_pages"] = static_cast<double>(r.ws_estimate_pages);
+    s["ws_guided_sweeps"] = static_cast<double>(r.ws_guided_sweeps);
+    return s;
+}
+
+/**
+ * FNV-1a over every registry entry (path, then counter value or
+ * histogram summary), bit-exact on doubles. Paths containing ".wrf." are
+ * skipped: the pinned digests were taken from a build that also
+ * registered walk-register-file occupancy stats, which describe
+ * simulator machinery rather than simulated state.
+ */
+std::uint64_t
+registry_digest(const obs::StatSnapshot &stats)
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    auto bytes = [&hash](const void *data, std::size_t n) {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            hash ^= p[i];
+            hash *= 1099511628211ULL;
+        }
+    };
+    for (const obs::StatSnapshot::Entry &e : stats.entries()) {
+        if (e.path.find(".wrf.") != std::string::npos)
+            continue;
+        bytes(e.path.data(), e.path.size() + 1);
+        if (!e.is_histogram) {
+            bytes(&e.value, sizeof e.value);
+            continue;
+        }
+        const obs::HistogramSummary &h = e.histogram;
+        for (std::uint64_t v : {h.count, h.sum, h.min, h.max, h.p50, h.p90,
+                                h.p99})
+            bytes(&v, sizeof v);
+        bytes(&h.mean, sizeof h.mean);
+    }
+    return hash;
 }
 
 void
@@ -200,6 +302,103 @@ const Snapshot kGoldenSystem = {
     {"walker.walk_cycles", 156686},
 };
 
+const Snapshot kGoldenServingBaseline = {
+    {"buddy_calls", 2169},
+    {"churn_boot_failures", 0},
+    {"churn_boots", 12},
+    {"churn_forks", 6},
+    {"churn_kills", 3},
+    {"dirty_ring_epochs", 42},
+    {"dirty_ring_logged", 12674},
+    {"frag.average_hpte_lines", 7.893129770992366},
+    {"frag.fragmented_fraction", 0.99236641221374045},
+    {"frag.groups", 131},
+    {"frag.max_hpte_lines", 8},
+    {"host_balloon_pages", 9216},
+    {"host_emergency_sweeps", 2},
+    {"host_frames_unbacked", 0},
+    {"host_reclaim_sweeps", 10},
+    {"metrics.cache_misses", 8021},
+    {"metrics.churn_boots", 12},
+    {"metrics.dirty_ring_epochs", 42},
+    {"metrics.dirty_ring_logged", 12674},
+    {"metrics.execution_time", 3511128},
+    {"metrics.fragmented_group_fraction", 0.99236641221374045},
+    {"metrics.guest_pt_mem_accesses", 1843},
+    {"metrics.host_balloon_pages", 9216},
+    {"metrics.host_frames_unbacked", 0},
+    {"metrics.host_pt_fragmentation", 7.893129770992366},
+    {"metrics.host_pt_mem_accesses", 1786},
+    {"metrics.host_pt_walk_cycles", 451244},
+    {"metrics.host_reclaim_sweeps", 10},
+    {"metrics.oom_kills", 2},
+    {"metrics.page_walk_cycles", 921542},
+    {"metrics.tlb_misses", 4759},
+    {"metrics.ws_estimate_pages", 213},
+    {"metrics.ws_guided_sweeps", 10},
+    {"oom_kills", 2},
+    {"part_hits", 0},
+    {"peak_unused_reservation_fraction", 0},
+    {"reservations_created", 0},
+    {"total_ops", 101946},
+    {"victim_cycles", 3511128},
+    {"victim_ops", 15000},
+    {"victim_rss_pages", 1041},
+    {"vms", 13},
+    {"ws_estimate_pages", 213},
+    {"ws_guided_sweeps", 10},
+};
+const Snapshot kGoldenServingPtemagnet = {
+    {"buddy_calls", 287},
+    {"churn_boot_failures", 0},
+    {"churn_boots", 12},
+    {"churn_forks", 6},
+    {"churn_kills", 3},
+    {"dirty_ring_epochs", 42},
+    {"dirty_ring_logged", 12672},
+    {"frag.average_hpte_lines", 7.9160305343511448},
+    {"frag.fragmented_fraction", 0.99236641221374045},
+    {"frag.groups", 131},
+    {"frag.max_hpte_lines", 8},
+    {"host_balloon_pages", 10176},
+    {"host_emergency_sweeps", 2},
+    {"host_frames_unbacked", 4},
+    {"host_reclaim_sweeps", 11},
+    {"metrics.cache_misses", 8035},
+    {"metrics.churn_boots", 12},
+    {"metrics.dirty_ring_epochs", 42},
+    {"metrics.dirty_ring_logged", 12672},
+    {"metrics.execution_time", 3527078},
+    {"metrics.fragmented_group_fraction", 0.99236641221374045},
+    {"metrics.guest_pt_mem_accesses", 1776},
+    {"metrics.host_balloon_pages", 10176},
+    {"metrics.host_frames_unbacked", 4},
+    {"metrics.host_pt_fragmentation", 7.9160305343511448},
+    {"metrics.host_pt_mem_accesses", 1823},
+    {"metrics.host_pt_walk_cycles", 458212},
+    {"metrics.host_reclaim_sweeps", 11},
+    {"metrics.oom_kills", 2},
+    {"metrics.page_walk_cycles", 911688},
+    {"metrics.tlb_misses", 4759},
+    {"metrics.ws_estimate_pages", 213},
+    {"metrics.ws_guided_sweeps", 11},
+    {"oom_kills", 2},
+    {"part_hits", 910},
+    {"peak_unused_reservation_fraction", 0.0067243035542747355},
+    {"reservations_created", 287},
+    {"total_ops", 101942},
+    {"victim_cycles", 3527078},
+    {"victim_ops", 15000},
+    {"victim_rss_pages", 1041},
+    {"vms", 13},
+    {"ws_estimate_pages", 213},
+    {"ws_guided_sweeps", 11},
+};
+constexpr std::uint64_t kGoldenServingDigestBaseline =
+    0x95cea891a1731460ULL;
+constexpr std::uint64_t kGoldenServingDigestPtemagnet =
+    0x2bf64da96e578d11ULL;
+
 TEST(GoldenMetrics, PairedScenarioMatchesSnapshot)
 {
     PairedResult paired = run_paired(golden_config());
@@ -302,6 +501,46 @@ TEST(GoldenMetrics, SystemCountersMatchSnapshot)
         return;
     }
     expect_matches(s, kGoldenSystem, "system counters");
+}
+
+/// Paired fork-storm serving run: every metric, the survival and
+/// dirty-ring telemetry, and a digest of the whole stat registry per leg.
+TEST(GoldenMetrics, ServingScenarioMatchesSnapshot)
+{
+    PairedResult paired = run_paired(serving_golden_config());
+    for (const ScenarioResult *leg : {&paired.baseline, &paired.ptemagnet}) {
+        // The path under test really ran: COW-capable forked jobs,
+        // balloon sweeps, and sweeps ordered by working-set estimates.
+        EXPECT_GT(leg->churn_forks, 0u);
+        EXPECT_GT(leg->host_reclaim_sweeps, 0u);
+        EXPECT_GT(leg->host_balloon_pages, 0u);
+        EXPECT_GT(leg->ws_guided_sweeps, 0u);
+    }
+    Snapshot baseline = serving_snapshot_of(paired.baseline);
+    Snapshot ptemagnet = serving_snapshot_of(paired.ptemagnet);
+    const std::uint64_t baseline_digest =
+        registry_digest(paired.baseline.stats);
+    const std::uint64_t ptemagnet_digest =
+        registry_digest(paired.ptemagnet.stats);
+
+    if (print_mode()) {
+        print_snapshot("kGoldenServingBaseline", baseline);
+        print_snapshot("kGoldenServingPtemagnet", ptemagnet);
+        std::printf("constexpr std::uint64_t kGoldenServingDigestBaseline "
+                    "=\n    0x%016" PRIx64 "ULL;\n",
+                    baseline_digest);
+        std::printf("constexpr std::uint64_t kGoldenServingDigestPtemagnet "
+                    "=\n    0x%016" PRIx64 "ULL;\n",
+                    ptemagnet_digest);
+        return;
+    }
+    expect_matches(baseline, kGoldenServingBaseline, "serving baseline leg");
+    expect_matches(ptemagnet, kGoldenServingPtemagnet,
+                   "serving ptemagnet leg");
+    EXPECT_EQ(baseline_digest, kGoldenServingDigestBaseline)
+        << "serving baseline leg: stat registry diverged";
+    EXPECT_EQ(ptemagnet_digest, kGoldenServingDigestPtemagnet)
+        << "serving ptemagnet leg: stat registry diverged";
 }
 
 }  // namespace

@@ -75,8 +75,7 @@ expect_measured_identical(const ScenarioResult &a, const ScenarioResult &b,
 
     const auto measurement_scoped = [](const std::string &path) {
         return path.find(".job.") != std::string::npos ||
-               path.find(".walker.") != std::string::npos ||
-               path.find(".wrf.") != std::string::npos;
+               path.find(".walker.") != std::string::npos;
     };
     ASSERT_EQ(a.stats.size(), b.stats.size()) << label;
     unsigned compared = 0;
