@@ -72,7 +72,7 @@ Cache::probe(std::uint64_t line) const
 {
     const std::uint64_t set = line & (num_sets_ - 1);
     const std::uint32_t tag = tag_of(line);
-    return simd::find_u32(set_tags(set), ways_, tag) < ways_;
+    return find_way(set_tags(set), tag) < ways_;
 }
 
 void
@@ -82,7 +82,7 @@ Cache::fill(std::uint64_t line)
     memo_line_ = ~0ULL;
     const std::uint64_t set = line & (num_sets_ - 1);
     const std::uint32_t tag = tag_of(line);
-    if (simd::find_u32(set_tags(set), ways_, tag) < ways_)
+    if (find_way(set_tags(set), tag) < ways_)
         return;
     install(set, tag);
 }
@@ -94,7 +94,7 @@ Cache::invalidate(std::uint64_t line)
     const std::uint64_t set = line & (num_sets_ - 1);
     const std::uint32_t tag = tag_of(line);
     std::uint32_t *tags = set_tags(set);
-    const unsigned w = simd::find_u32(tags, ways_, tag);
+    const unsigned w = find_way(tags, tag);
     if (w < ways_) {
         tags[w] = kInvalidTag;
         --live_[set];

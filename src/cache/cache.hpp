@@ -13,17 +13,14 @@
  * Tags are stored as 32 bits: a tag
  * is line >> log2(sets) and modeled physical memory is bounded far
  * below the 2^(38+log2 sets) bytes a 32-bit tag can name (a panic
- * guards the bound), so narrowing is exact — and it both halves the
- * bytes a scan touches (an 8-way set's tags are 32 contiguous bytes)
- * and gives the scan a native single-instruction SIMD compare on
- * baseline x86-64. Tag scans go through the SIMD probes of
- * common/simd.hpp (SSE2/NEON with a scalar fallback selected at
- * compile time); outcomes are identical to the scalar loop by the
- * probe contract. Replacement is dispatched with a single branch on
- * ReplacementKind instead of a virtual call (the virtual policies in
- * replacement.hpp remain as the reference model the tests compare
- * against). Write-allocate, no dirty tracking (latency is symmetric for
- * the metrics the paper reports).
+ * guards the bound), so narrowing is exact — and it halves the bytes a
+ * scan touches (an 8-way set's tags are 32 contiguous bytes). Every tag
+ * scan is the scalar first-match loop find_way(): inside the inlined
+ * access path it beat an SSE2 vector scan (DESIGN.md §9). Replacement
+ * is dispatched with a single branch on ReplacementKind instead of a
+ * virtual call (the virtual policies in replacement.hpp remain as the
+ * reference model the tests compare against). Write-allocate, no dirty
+ * tracking (latency is symmetric for the metrics the paper reports).
  */
 #pragma once
 
@@ -35,7 +32,6 @@
 #include "cache/access.hpp"
 #include "cache/replacement.hpp"
 #include "common/log.hpp"
-#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "obs/stat_registry.hpp"
@@ -128,7 +124,7 @@ class Cache {
         }
         // Empty ways hold kInvalidTag, so the tag compare alone decides:
         // no separate valid-bit load on the hot scan.
-        const unsigned w = simd::find_u32_hot(tags, ways_, tag);
+        const unsigned w = find_way(tags, tag);
         if (w < ways_) {
             set_hint(set, w);
             touch(set, w);
@@ -217,6 +213,19 @@ class Cache {
     }
     unsigned live_of(std::uint64_t set) const { return live_[set]; }
 
+    /// First way of @p tags equal to @p tag, or ways_ when none is. Real
+    /// tags occur at most once per set; kInvalidTag may fill several
+    /// ways, and the first empty way is the one install() must pick.
+    unsigned
+    find_way(const std::uint32_t *tags, std::uint32_t tag) const
+    {
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (tags[w] == tag)
+                return w;
+        }
+        return ways_;
+    }
+
     /// Set every way of every set to kInvalidTag and clear replacement
     /// state (construction / flush).
     void reset_tags();
@@ -255,10 +264,14 @@ class Cache {
     victim(std::uint64_t set)
     {
         switch (geometry_.replacement) {
-          case ReplacementKind::Lru:
-            // True LRU: smallest stamp wins, lowest way on ties — the
-            // min_index_u64 contract.
-            return simd::min_index_u64(set_repl(set), ways_);
+          case ReplacementKind::Lru: {
+            // True LRU: smallest stamp wins, lowest way on ties.
+            const std::uint64_t *stamps = set_repl(set);
+            unsigned oldest = 0;
+            for (unsigned w = 1; w < ways_; ++w)
+                oldest = stamps[w] < stamps[oldest] ? w : oldest;
+            return oldest;
+          }
           case ReplacementKind::TreePlru: {
             // Follow the pointers; clamp to a valid way for
             // non-power-of-two configurations.
@@ -289,7 +302,7 @@ class Cache {
         // skips the empty-way scan in steady state.
         unsigned w;
         if (live_[set] < ways_) {
-            w = simd::find_u32(set_tags(set), ways_, kInvalidTag);
+            w = find_way(set_tags(set), kInvalidTag);
             ++live_[set];
         } else {
             w = victim(set);

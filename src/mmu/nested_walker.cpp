@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "pt/page_table.hpp"
 
 namespace ptm::mmu {
 
@@ -37,8 +36,6 @@ NestedWalker::host_translate(std::uint64_t gfn, TranslationResult &result)
     // the host has not yet backed this guest frame and takes a host fault
     // (lazy allocation, §3.1), after which the walk restarts.
     stats_.host_walks.inc();
-    if (host_.radix != nullptr)
-        return host_walk_radix(gfn, result);
     for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
         pt::WalkResult walk = host_.page_table->walk(gfn, host_steps_);
         for (unsigned i = 0; i < walk.steps; ++i) {
@@ -73,57 +70,10 @@ NestedWalker::host_translate(std::uint64_t gfn, TranslationResult &result)
     ptm_panic("host walk did not converge");
 }
 
-std::uint64_t
-NestedWalker::host_walk_radix(std::uint64_t gfn, TranslationResult &result)
-{
-    // Fused variant of the loop above: the radix table's walk() is a pure
-    // read, so descending node-by-node and accounting each level as it is
-    // reached touches the caches in the exact same order as walking first
-    // and accounting afterwards. walk() stops after the first non-present
-    // entry; so does this descent.
-    for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
-        pt::PageTable::Cursor cur(*host_.radix, gfn);
-        for (;;) {
-            cache::AccessResult access = hierarchy_->access(
-                core_, cur.entry_paddr(), cache::AccessKind::HostPt);
-            result.walk_cycles += access.latency;
-            result.cycles += access.latency;
-            stats_.walk_cycles.inc(access.latency);
-            stats_.host_pt_cycles.inc(access.latency);
-            stats_.host_pt_accesses.inc();
-            if (access.served_by == cache::ServedBy::Memory) {
-                stats_.host_pt_mem_accesses.inc();
-                stats_.host_pt_level_mem.record(cur.level());
-            }
-            if (!cur.pte().present())
-                break;
-            if (cur.at_leaf()) {
-                std::uint64_t hfn = cur.pte().frame();
-                nested_tlb_.insert(gfn, hfn);
-                return hfn;
-            }
-            cur.descend();
-        }
-
-        FaultOutcome fault = host_.fault_handler(gfn);
-        stats_.host_faults.inc();
-        if (!fault.ok)
-            ptm_throw("host kernel cannot back guest frame %llu "
-                      "(host OOM)", static_cast<unsigned long long>(gfn));
-        stats_.fault_cycles.inc(fault.cycles);
-        result.cycles += fault.cycles;
-        result.faulted = true;
-    }
-    ptm_panic("host walk did not converge");
-}
-
 std::optional<std::uint64_t>
 NestedWalker::walk_guest_once(GuestContext &guest, std::uint64_t gvpn,
                               TranslationResult &result)
 {
-    if (guest.radix != nullptr)
-        return walk_guest_radix(guest, gvpn, result);
-
     // Walk first, then account the steps in touch order: the walk is a
     // pure read, and the host faults host_translate may take below never
     // write the guest table, so the caches see the same touches as a
@@ -191,77 +141,6 @@ NestedWalker::walk_guest_once(GuestContext &guest, std::uint64_t gvpn,
         ptm_panic("guest walk stopped early without fault");
     }
     return guest_steps_[walk.steps - 1].pte.frame();
-}
-
-std::optional<std::uint64_t>
-NestedWalker::walk_guest_radix(GuestContext &guest, std::uint64_t gvpn,
-                               TranslationResult &result)
-{
-    // Fused variant of walk_guest_once for radix tables: same access,
-    // stat, PWC, and fault sequence, but the descent happens inline —
-    // no step buffer, no virtual walk() call per attempt.
-    const pt::PageTable &table = *guest.radix;
-    pt::PageTable::Cursor cur(table, gvpn);
-
-    // PWC resume: valid iff a silent descent reaches the cached level
-    // and finds the cached node there — the same predicate as checking
-    // steps[resume_level] of a full walk (a stale hit simply misses).
-    if (guest.use_pwc) {
-        if (std::optional<tlb::PageWalkCache::Hit> hit =
-                pwc_.lookup(gvpn)) {
-            pt::PageTable::Cursor probe(table, gvpn);
-            bool reachable = true;
-            while (probe.level() < hit->resume_level) {
-                if (!probe.pte().present() || probe.at_leaf()) {
-                    reachable = false;
-                    break;
-                }
-                probe.descend();
-            }
-            if (reachable && probe.node_frame() == hit->node_frame)
-                cur = probe;
-        }
-    }
-
-    for (;;) {
-        // The guest-PT node lives at a guest-physical frame; the walker
-        // needs its host-physical address first (the "2D" part).
-        std::uint64_t node_hfn = host_translate(cur.node_frame(), result);
-        Addr entry_hpa = node_hfn * kPageSize + cur.index() * kPteSize;
-
-        cache::AccessResult access = hierarchy_->access(
-            core_, entry_hpa, cache::AccessKind::GuestPt);
-        result.walk_cycles += access.latency;
-        result.cycles += access.latency;
-        stats_.walk_cycles.inc(access.latency);
-        stats_.guest_pt_cycles.inc(access.latency);
-        stats_.guest_pt_accesses.inc();
-        if (access.served_by == cache::ServedBy::Memory) {
-            stats_.guest_pt_mem_accesses.inc();
-            stats_.guest_pt_level_mem.record(cur.level());
-        }
-
-        pt::Pte pte = cur.pte();
-        if (!pte.present()) {
-            // Guest page fault: the guest kernel allocates and maps.
-            FaultOutcome fault = guest.fault_handler(gvpn);
-            stats_.guest_faults.inc();
-            if (!fault.ok)
-                ptm_throw("guest kernel cannot satisfy page fault on "
-                          "gvpn %llu (guest OOM)",
-                          static_cast<unsigned long long>(gvpn));
-            stats_.fault_cycles.inc(fault.cycles);
-            result.cycles += fault.cycles;
-            result.faulted = true;
-            return std::nullopt;  // retry the walk against the new PT state
-        }
-
-        if (cur.at_leaf())
-            return pte.frame();
-        if (guest.use_pwc)
-            pwc_.insert(gvpn, cur.level(), pte.frame());
-        cur.descend();
-    }
 }
 
 TranslationResult

@@ -27,10 +27,6 @@
 #include "pt/translation_table.hpp"
 #include "tlb/tlb.hpp"
 
-namespace ptm::pt {
-class PageTable;
-}
-
 namespace ptm::mmu {
 
 /// Result of a kernel fault handler invocation.
@@ -75,11 +71,6 @@ struct GuestContext {
     /// Consult/fill the page-walk cache. Only meaningful for tables with
     /// radix_levels(); bound once at job creation from the table.
     bool use_pwc = true;
-    /// Concrete radix table behind page_table, when it is one (bound at
-    /// system setup). Lets the walker fuse the descent with its per-node
-    /// accounting — no step buffer, no virtual dispatch. nullptr keeps
-    /// the generic walk() path (hashed tables, direct test setups).
-    const pt::PageTable *radix = nullptr;
 };
 
 /// The host side: the VM's host translation table (guest-physical ->
@@ -88,9 +79,6 @@ struct HostContext {
     pt::TranslationTable *page_table = nullptr;
     /// Handle a host page fault on the faulting guest frame number.
     FaultHook fault_handler;
-    /// Concrete radix table behind page_table, when it is one; see
-    /// GuestContext::radix.
-    const pt::PageTable *radix = nullptr;
 };
 
 /// Everything a translation request reports back.
@@ -187,15 +175,6 @@ class NestedWalker {
                                                  std::uint64_t gvpn,
                                                  TranslationResult &result);
 
-    /// Fused radix fast paths: identical access/stat/fault sequences to
-    /// the generic versions, but descending node-by-node via
-    /// pt::PageTable::Cursor instead of materializing a step buffer.
-    std::optional<std::uint64_t> walk_guest_radix(GuestContext &guest,
-                                                  std::uint64_t gvpn,
-                                                  TranslationResult &result);
-    std::uint64_t host_walk_radix(std::uint64_t gfn,
-                                  TranslationResult &result);
-
     unsigned core_;
     cache::MemoryHierarchy *hierarchy_;
     HostContext host_;
@@ -203,7 +182,7 @@ class NestedWalker {
     tlb::PageWalkCache pwc_;
     tlb::NestedTlb nested_tlb_;
     WalkerStats stats_;
-    // Step buffers of the generic (non-radix) walks, reused across
+    // Step buffers that walk() fills for every table, reused across
     // translations. Guest and host walks overlap — host_translate runs
     // mid guest walk — hence one buffer each.
     pt::WalkSteps guest_steps_;

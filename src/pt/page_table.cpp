@@ -134,8 +134,8 @@ PageTable::update(std::uint64_t vpn, const PteFields &fields)
     return true;
 }
 
-unsigned
-PageTable::walk_into(std::uint64_t vpn, WalkStep *steps) const
+WalkResult
+PageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
 {
     const Node *node = root_.get();
     unsigned count = 0;
@@ -158,23 +158,9 @@ PageTable::walk_into(std::uint64_t vpn, WalkStep *steps) const
             }
         }
     }
-    return count;
-}
-
-unsigned
-PageTable::walk(std::uint64_t vpn,
-                std::array<WalkStep, kPtLevels> &steps) const
-{
-    return walk_into(vpn, steps.data());
-}
-
-WalkResult
-PageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
-{
-    unsigned n = walk_into(vpn, steps.data());
     return WalkResult{
-        .steps = n,
-        .complete = n == kPtLevels && steps[n - 1].pte.present(),
+        .steps = count,
+        .complete = count == kPtLevels && steps[count - 1].pte.present(),
     };
 }
 

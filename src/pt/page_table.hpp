@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 
-#include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "pt/pte.hpp"
@@ -75,14 +74,6 @@ class PageTable final : public TranslationTable {
     WalkResult walk(std::uint64_t vpn, WalkSteps &steps) const override;
 
     /**
-     * Radix-native walk into a kPtLevels-sized buffer (the historical
-     * signature; unit tests of the radix structure use it directly).
-     * @return number of steps written to @p steps (1..4).
-     */
-    unsigned walk(std::uint64_t vpn,
-                  std::array<WalkStep, kPtLevels> &steps) const;
-
-    /**
      * Physical byte address of the leaf PTE slot for @p vpn, if the leaf
      * node exists (the entry itself may be non-present). Used by the
      * fragmentation metric, which is about PTE *placement*.
@@ -131,60 +122,11 @@ class PageTable final : public TranslationTable {
     std::unique_ptr<Node> make_node();
     void release_node(Node *node, unsigned level);
     const Node *descend(std::uint64_t vpn, unsigned to_level) const;
-    unsigned walk_into(std::uint64_t vpn, WalkStep *steps) const;
 
     FrameSource frames_;
     std::unique_ptr<Node> root_;
     std::uint64_t node_count_ = 0;
     PageTableStats stats_;
-
-  public:
-    /**
-     * Inline descent cursor: the exact touch sequence of walk(), one
-     * level at a time, without materializing a step buffer. The nested
-     * walker uses it to fuse the radix descent with its per-node cache
-     * accounting — one pass, no virtual dispatch. Read-only; the cursor
-     * must not outlive kernel updates to the table.
-     */
-    class Cursor {
-      public:
-        Cursor(const PageTable &table, std::uint64_t vpn)
-            : node_(table.root_.get()), vpn_(vpn)
-        {
-        }
-
-        unsigned level() const { return level_; }
-        std::uint64_t node_frame() const { return node_->frame; }
-        unsigned index() const { return index_at(vpn_, level_); }
-        Addr
-        entry_paddr() const
-        {
-            return node_->frame * kPageSize + index() * kPteSize;
-        }
-        Pte pte() const { return node_->slots[index()].pte; }
-        bool at_leaf() const { return level_ + 1 >= kPtLevels; }
-
-        /**
-         * Move to the current entry's child node. Only meaningful below
-         * the leaf level with a present entry; panics on structural
-         * corruption (present non-leaf entry without a child), exactly
-         * like walk().
-         */
-        void
-        descend()
-        {
-            const Node *child = node_->slots[index()].child.get();
-            if (child == nullptr)
-                ptm_panic("present non-leaf entry without child node");
-            node_ = child;
-            ++level_;
-        }
-
-      private:
-        const Node *node_;
-        std::uint64_t vpn_;
-        unsigned level_ = 0;
-    };
 };
 
 }  // namespace ptm::pt

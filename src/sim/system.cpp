@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "core/ptemagnet_provider.hpp"
-#include "pt/page_table.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/fault_injection.hpp"
 #include "vm/provider_factory.hpp"
@@ -151,11 +150,6 @@ System::boot_slot(std::uint64_t guest_frames, bool churn_booted)
         .fault_handler =
             mmu::FaultHook(&System::host_fault_thunk, slot.get()),
     };
-    // Enable the walker's fused descent when the table really is the
-    // radix implementation (it always is on the host side today, but the
-    // cast keeps that a local fact rather than an assumption).
-    slot->host_ctx.radix =
-        dynamic_cast<const pt::PageTable *>(slot->host_ctx.page_table);
 
     // Stale-translation shootdowns: drop the data-TLB entry on the core
     // of the affected process (scoped to this VM's jobs).
@@ -371,8 +365,6 @@ System::make_job(VmSlot &slot, vm::Process &process,
         // The PWC's resume contract only holds for radix hierarchies.
         .use_pwc = process.page_table().radix_levels(),
     };
-    job->guest_ctx_.radix =
-        dynamic_cast<const pt::PageTable *>(&process.page_table());
     job->workload_ctx_ =
         std::make_unique<JobWorkloadContext>(this, job.get());
     job->workload_->setup(*job->workload_ctx_);
@@ -407,7 +399,6 @@ System::kill_vm(unsigned index, const char *status, std::string detail)
     slot.frames_repossessed = host_->destroy_vm(*slot.vm);
     slot.vm = nullptr;
     slot.host_ctx.page_table = nullptr;
-    slot.host_ctx.radix = nullptr;
 }
 
 // ---- overcommit survival ----------------------------------------------

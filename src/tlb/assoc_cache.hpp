@@ -11,14 +11,14 @@
  * keys+stamps slab was measured here and lost ~10% of end-to-end
  * simulator throughput: these structures are small enough to be
  * host-cache resident either way, and interleaving doubles the stride
- * between consecutive sets' key runs.) Lookup key scans go through the
- * probe primitives of common/simd.hpp — vectorized where the ISA has a
- * native 64-bit lane compare (SSE4.1/NEON), the reference scalar loop
- * otherwise — while insert keeps the historic single pass that resolves
- * existing-key / free-way / LRU-victim together (inserts run several
- * times per TLB miss). Empty ways hold kInvalidKey, so the scan is a bare
- * key compare with no separate valid-bit load; keys must therefore
- * never be all-ones (page and frame numbers are far below 2^64).
+ * between consecutive sets' key runs.) Lookup, probe and invalidate
+ * share one scalar first-match loop, find_way() (a vector key scan did
+ * not pay; DESIGN.md §9), while insert keeps the single pass that
+ * resolves existing-key / free-way / LRU-victim together (inserts run
+ * several times per TLB miss). Empty ways hold kInvalidKey, so the scan
+ * is a bare key compare with no separate valid-bit load; keys must
+ * therefore never be all-ones (page and frame numbers are far below
+ * 2^64).
  */
 #pragma once
 
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "obs/stat_registry.hpp"
 
@@ -96,7 +95,7 @@ class AssocCache {
             return memo_value_;
         }
         const std::size_t base = base_of(key);
-        const unsigned w = simd::find_u64(&keys_[base], ways_, key);
+        const unsigned w = find_way(base, key);
         if (w < ways_) {
             stamps_[base + w] = ++clock_;
             stats_.hits.inc();
@@ -113,7 +112,7 @@ class AssocCache {
     probe(std::uint64_t key) const
     {
         const std::size_t base = base_of(key);
-        const unsigned w = simd::find_u64(&keys_[base], ways_, key);
+        const unsigned w = find_way(base, key);
         if (w < ways_)
             return values_[base + w];
         return std::nullopt;
@@ -169,7 +168,7 @@ class AssocCache {
         if (key == memo_key_)
             memo_key_ = kInvalidKey;
         const std::size_t base = base_of(key);
-        const unsigned w = simd::find_u64(&keys_[base], ways_, key);
+        const unsigned w = find_way(base, key);
         if (w < ways_)
             keys_[base + w] = kInvalidKey;
     }
@@ -212,6 +211,17 @@ class AssocCache {
     std::size_t base_of(std::uint64_t key) const
     {
         return static_cast<std::size_t>(key & (num_sets_ - 1)) * ways_;
+    }
+
+    /// Way of the set starting at @p base that holds @p key, or ways_.
+    unsigned
+    find_way(std::size_t base, std::uint64_t key) const
+    {
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (keys_[base + w] == key)
+                return w;
+        }
+        return ways_;
     }
 
     unsigned ways_;

@@ -114,14 +114,18 @@ GuestKernel::handle_fault(Process &proc, std::uint64_t gvpn)
 
     AllocOutcome alloc = provider_->allocate_page(proc, gvpn);
     if (!alloc.ok) {
-        // Last resort: reclaim provider-held memory, then retry once.
+        // Run the pressure check (a reclaim sweep only when watermarks
+        // or an armed fault plan call for one), then retry once.
         check_memory_pressure();
         alloc = provider_->allocate_page(proc, gvpn);
         if (!alloc.ok) {
             // Dead last resort: pop ballooned frames back into the buddy
             // (a no-op — and bit-identical to the historic path — when
-            // the host never inflated the balloon).
+            // the host never inflated the balloon), and failing that,
+            // every frame the provider still parks.
             if (balloon_deflate(64) > 0)
+                alloc = provider_->allocate_page(proc, gvpn);
+            if (!alloc.ok && reclaim_all_held() > 0)
                 alloc = provider_->allocate_page(proc, gvpn);
             if (!alloc.ok) {
                 stats_.oom_events.inc();
@@ -188,9 +192,12 @@ GuestKernel::handle_write(Process &proc, std::uint64_t gvpn)
     std::optional<std::uint64_t> copy = buddy_.allocate_frame();
     if (!copy) {
         // COW pages bypass the provider, but reclaim can still free
-        // parked reservation frames; try once before giving up.
+        // parked reservation frames: the pressure check first, then
+        // every parked frame, before giving up.
         check_memory_pressure();
         copy = buddy_.allocate_frame();
+        if (!copy && reclaim_all_held() > 0)
+            copy = buddy_.allocate_frame();
         if (!copy)
             ptm_throw("guest OOM on COW break for pid %d", proc.pid());
     }
@@ -328,6 +335,18 @@ GuestKernel::check_memory_pressure()
     if (trace_ != nullptr)
         trace_->event_now("reclaim_sweep", "kernel", 0,
                           {{"target", target}, {"reclaimed", reclaimed}});
+}
+
+std::uint64_t
+GuestKernel::reclaim_all_held()
+{
+    const std::uint64_t held = provider_->held_frames();
+    if (held == 0)
+        return 0;
+    stats_.reclaim_runs.inc();
+    const std::uint64_t reclaimed = provider_->reclaim(held);
+    stats_.frames_reclaimed.inc(reclaimed);
+    return reclaimed;
 }
 
 std::uint64_t

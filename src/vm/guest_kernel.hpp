@@ -226,6 +226,10 @@ class GuestKernel {
     pt::FrameSource pt_frame_source(std::int32_t pid);
     void unmap_one(Process &proc, std::uint64_t gvpn, pt::Pte pte);
     void invalidate_translation(Process &proc, std::uint64_t gvpn);
+    /// Guest-OOM last resort: return every frame the provider parks
+    /// (reservation tails) to the buddy, whatever the watermarks say.
+    /// @return frames released.
+    std::uint64_t reclaim_all_held();
 
     GuestCostModel costs_;
     mem::BuddyAllocator buddy_;

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cache/cache.hpp"
 #include "cache/hierarchy.hpp"
 #include "cache/replacement.hpp"
@@ -306,6 +308,29 @@ class ReferenceCache {
         }
     }
 
+    bool
+    resident(std::uint64_t line) const
+    {
+        const Set &set = sets_[line & (num_sets_ - 1)];
+        const std::uint64_t tag = line >> set_shift_;
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (set.valid[w] && set.tags[w] == tag)
+                return true;
+        }
+        return false;
+    }
+
+    std::uint64_t
+    resident_lines() const
+    {
+        std::uint64_t n = 0;
+        for (const Set &set : sets_) {
+            for (bool valid : set.valid)
+                n += valid ? 1 : 0;
+        }
+        return n;
+    }
+
   private:
     struct Set {
         std::vector<std::uint64_t> tags;
@@ -323,36 +348,49 @@ class ReferenceSweep : public ::testing::TestWithParam<ReplacementKind> {};
 
 TEST_P(ReferenceSweep, RandomizedTraceMatchesReferenceModel)
 {
-    // 8 KiB, 4-way -> 32 sets, 128 lines; a 512-line trace keeps every
-    // set churning through evictions. A sprinkle of invalidations
-    // exercises the stale-tag and refill paths.
-    const CacheGeometry geometry{"t", 8192, 4, GetParam()};
-    Rng flat_rng(77);
-    Rng ref_rng(77);  // same seed: eviction draws must align one-to-one
-    Cache flat(geometry, &flat_rng);
-    ReferenceCache ref(geometry, &ref_rng);
+    // 32 sets at each associativity from direct mapped to 16 ways; a
+    // line pool four times the capacity keeps every set churning through
+    // evictions. A sprinkle of invalidations exercises the stale-tag and
+    // refill paths (the empty-way scan).
+    for (unsigned ways : {1u, 2u, 4u, 8u, 16u}) {
+        SCOPED_TRACE(std::to_string(ways) + " ways");
+        const std::uint64_t sets = 32;
+        const CacheGeometry geometry{"t", sets * ways * kCacheLineSize,
+                                     ways, GetParam()};
+        Rng flat_rng(77);
+        Rng ref_rng(77);  // same seed: eviction draws must align one-to-one
+        Cache flat(geometry, &flat_rng);
+        ReferenceCache ref(geometry, &ref_rng);
 
-    Rng trace(1234);
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    for (int i = 0; i < 20000; ++i) {
-        std::uint64_t line = trace.below(512);
-        if (trace.chance(0.02)) {
-            flat.invalidate(line);
-            ref.invalidate(line);
-            continue;
+        const std::uint64_t pool = sets * ways * 4;
+        Rng trace(1234);
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        for (int i = 0; i < 20000; ++i) {
+            std::uint64_t line = trace.below(pool);
+            if (trace.chance(0.02)) {
+                flat.invalidate(line);
+                ref.invalidate(line);
+                continue;
+            }
+            bool flat_hit = flat.access(line, AccessKind::Data);
+            bool ref_hit = ref.access(line);
+            ASSERT_EQ(flat_hit, ref_hit)
+                << replacement_kind_name(GetParam())
+                << " diverged at access " << i << ", line " << line;
+            flat_hit ? ++hits : ++misses;
         }
-        bool flat_hit = flat.access(line, AccessKind::Data);
-        bool ref_hit = ref.access(line);
-        ASSERT_EQ(flat_hit, ref_hit)
-            << replacement_kind_name(GetParam()) << " diverged at access "
-            << i << ", line " << line;
-        flat_hit ? ++hits : ++misses;
+        EXPECT_EQ(flat.stats().total_hits(), hits);
+        EXPECT_EQ(flat.stats().total_misses(), misses);
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(misses, 0u);
+
+        // The end state agrees line by line, through the non-updating
+        // probe path as well as the occupancy count.
+        EXPECT_EQ(flat.resident_lines(), ref.resident_lines());
+        for (std::uint64_t line = 0; line < pool; ++line)
+            ASSERT_EQ(flat.probe(line), ref.resident(line)) << line;
     }
-    EXPECT_EQ(flat.stats().total_hits(), hits);
-    EXPECT_EQ(flat.stats().total_misses(), misses);
-    EXPECT_GT(hits, 0u);
-    EXPECT_GT(misses, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReferenceSweep,

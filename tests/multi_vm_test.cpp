@@ -84,12 +84,14 @@ TEST(MultiVmHost, KilledVmFramesMergeBackAndSurvivorsKeepMappings)
     EXPECT_GE(delta_frames, repossessed);
     EXPECT_TRUE(merged_high_order);
 
-    // Survivors are untouched: identical frames, still owned.
+    // Survivors are untouched: identical frames, still owned. vms[1] is
+    // destroyed, so it is skipped rather than dereferenced.
     for (const auto &[key, frame] : before) {
         const auto &[vm_id, gfn] = key;
-        for (host::VmInstance *vm : vms) {
-            if (vm->id() != vm_id)
+        for (unsigned v = 0; v < 4; ++v) {
+            if (v == 1 || vms[v]->id() != vm_id)
                 continue;
+            host::VmInstance *vm = vms[v];
             auto pte = vm->page_table().lookup(gfn);
             ASSERT_TRUE(pte.has_value());
             EXPECT_EQ(pte->frame(), frame);

@@ -133,9 +133,10 @@ TEST_F(PageTableTest, WalkVisitsFourLevelsWithCorrectAddresses)
     std::uint64_t vpn = (3ull << 27) | (1ull << 18) | (2ull << 9) | 7;
     pt.map(vpn, {.frame = 424242});
 
-    std::array<WalkStep, kPtLevels> steps;
-    unsigned n = pt.walk(vpn, steps);
-    ASSERT_EQ(n, 4u);
+    WalkSteps steps;
+    WalkResult walk = pt.walk(vpn, steps);
+    ASSERT_EQ(walk.steps, 4u);
+    EXPECT_TRUE(walk.complete);
     EXPECT_EQ(steps[0].node_frame, pt.root_frame());
     for (unsigned i = 0; i < 4; ++i) {
         EXPECT_EQ(steps[i].level, i);
@@ -154,9 +155,10 @@ TEST_F(PageTableTest, WalkVisitsFourLevelsWithCorrectAddresses)
 TEST_F(PageTableTest, WalkStopsAtNonPresent)
 {
     PageTable pt(source_);
-    std::array<WalkStep, kPtLevels> steps;
-    unsigned n = pt.walk(123456, steps);
-    EXPECT_EQ(n, 1u);
+    WalkSteps steps;
+    WalkResult walk = pt.walk(123456, steps);
+    EXPECT_EQ(walk.steps, 1u);
+    EXPECT_FALSE(walk.complete);
     EXPECT_FALSE(steps[0].pte.present());
 }
 

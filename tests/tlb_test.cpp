@@ -155,6 +155,16 @@ class ReferenceAssoc {
         }
     }
 
+    std::optional<std::uint64_t>
+    probe(std::uint64_t key) const
+    {
+        for (const Entry &e : sets_[key & (num_sets_ - 1)]) {
+            if (e.valid && e.key == key)
+                return e.value;
+        }
+        return std::nullopt;
+    }
+
     unsigned
     occupancy() const
     {
@@ -220,6 +230,16 @@ TEST(AssocCache, RandomizedTraceMatchesReferenceModel)
     EXPECT_EQ(flat.stats().evictions.value(), ref.evictions());
     EXPECT_EQ(flat.occupancy(), ref.occupancy());
     EXPECT_GT(ref.evictions(), 0u);
+
+    // Every key's end state agrees through the non-updating probe path.
+    for (std::uint64_t key = 0; key < 256; ++key) {
+        auto flat_v = flat.probe(key);
+        auto ref_v = ref.probe(key);
+        ASSERT_EQ(flat_v.has_value(), ref_v.has_value()) << "key " << key;
+        if (flat_v) {
+            EXPECT_EQ(*flat_v, *ref_v) << "key " << key;
+        }
+    }
 }
 
 TlbConfig

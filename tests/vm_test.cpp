@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "vm/guest_kernel.hpp"
+#include "vm/reserve_thp_provider.hpp"
 #include "vm/virtual_address_space.hpp"
 
 namespace ptm::vm {
@@ -265,6 +266,65 @@ TEST_F(GuestKernelTest, OomReportsFailure)
         failed = !tiny.handle_fault(proc, gvpn + i).ok;
     EXPECT_TRUE(failed);
     EXPECT_GT(tiny.stats().oom_events.value(), 0u);
+}
+
+/// A guest under reserve_thp. Each case faults one page, whose
+/// reservation parks the other 511 frames of its 2 MiB block, then drains
+/// the buddy, so the next allocation can only come from that tail.
+class ParkedFramesTest : public GuestKernelTest {
+  protected:
+    ParkedFramesTest()
+    {
+        auto provider = std::make_unique<ReserveThpProvider>(&kernel_);
+        provider_ = provider.get();
+        kernel_.set_provider(std::move(provider));
+    }
+
+    void
+    drain_buddy()
+    {
+        ASSERT_EQ(provider_->held_frames(), kParked);
+        while (kernel_.buddy().allocate_frame()) {
+        }
+    }
+
+    static constexpr std::uint64_t kParked =
+        ReserveThpProvider::kRegionPages - 1;
+    ReserveThpProvider *provider_ = nullptr;
+};
+
+TEST_F(ParkedFramesTest, OomFaultIsServedFromParkedFrames)
+{
+    Process &proc = kernel_.create_process("app");
+    Addr base = proc.vas().mmap(2 * ReserveThpProvider::kRegionPages *
+                                kPageSize);
+    std::uint64_t gvpn = page_number(base);
+    fault(proc, gvpn);
+    drain_buddy();
+
+    // A page of the next 2 MiB region: no reservation to serve it, and
+    // no free frame left but the parked ones.
+    fault(proc, gvpn + ReserveThpProvider::kRegionPages);
+    EXPECT_EQ(kernel_.stats().oom_events.value(), 0u);
+    EXPECT_EQ(kernel_.stats().reclaim_runs.value(), 1u);
+    EXPECT_EQ(kernel_.stats().frames_reclaimed.value(), kParked);
+    EXPECT_EQ(provider_->held_frames(), 0u);
+}
+
+TEST_F(ParkedFramesTest, OomCowBreakIsServedFromParkedFrames)
+{
+    Process &parent = kernel_.create_process("parent");
+    Addr base = parent.vas().mmap(kPageSize);
+    std::uint64_t gvpn = page_number(base);
+    std::uint64_t shared_gfn = fault(parent, gvpn);
+    Process &child = kernel_.fork(parent);
+    drain_buddy();
+
+    EXPECT_GT(kernel_.handle_write(child, gvpn), 0u);
+    EXPECT_NE(child.page_table().lookup(gvpn)->frame(), shared_gfn);
+    EXPECT_EQ(kernel_.stats().reclaim_runs.value(), 1u);
+    EXPECT_EQ(kernel_.stats().frames_reclaimed.value(), kParked);
+    EXPECT_EQ(provider_->held_frames(), 0u);
 }
 
 TEST_F(GuestKernelTest, ExitReclaimsAllMemory)
