@@ -50,5 +50,5 @@ main()
                 "design point is 8 pages = one\nPTE cache line — larger "
                 "groups cannot pack a line any tighter.)\n",
                 baseline.fragmentation.average_hpte_lines);
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

@@ -40,7 +40,8 @@ policy_label(const std::string &policy)
 
 const char *const kPolicies[] = {"buddy", "ptemagnet", "thp"};
 
-void
+/// @return the number of failed suite entries.
+std::size_t
 dense_experiment()
 {
     using namespace ptm::sim;
@@ -72,6 +73,7 @@ dense_experiment()
                     run.fragmentation.average_hpte_lines, cpo,
                     static_cast<unsigned long long>(run.victim_rss_pages));
     }
+    return result.failed_count();
 }
 
 /**
@@ -133,7 +135,7 @@ int
 main()
 {
     std::printf("Ablation: PTEMagnet vs THP-like eager backing\n\n");
-    dense_experiment();
+    const std::size_t failed = dense_experiment();
     sparse_experiment();
-    return 0;
+    return failed == 0 ? 0 : 1;
 }

@@ -57,5 +57,5 @@ main()
                 "fragmented hPTE leaf lines\nit packs are not covered by "
                 "PWCs (guest-side) or the nested TLB (translations,\nnot "
                 "line locality).\n");
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

@@ -37,5 +37,5 @@ main()
     std::printf("\npaper reference: PTEMagnet reduces fragmentation to "
                 "~1 for all benchmarks\n(e.g. pagerank 3.4 -> 1.2, "
                 "Table 4).\n");
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

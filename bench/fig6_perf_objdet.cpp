@@ -32,5 +32,5 @@ main()
     print_improvement_table(result);
     std::printf("\npaper reference: 4%% average, 9%% max (xz), never "
                 "negative.\n");
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

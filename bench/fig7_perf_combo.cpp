@@ -33,5 +33,5 @@ main()
     print_improvement_table(result);
     std::printf("\npaper reference: 3%% average, 5%% max (mcf), never "
                 "negative.\n");
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

@@ -224,5 +224,5 @@ main(int argc, char **argv)
         }
         print_robustness(entry.entry.name.c_str(), entry.single);
     }
-    return EXIT_SUCCESS;
+    return result.failed_count() == 0 ? EXIT_SUCCESS : EXIT_FAILURE;
 }

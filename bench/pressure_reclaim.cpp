@@ -68,5 +68,5 @@ main()
                 "improvement decays gracefully with intensity —\n"
                 "fallback singles replace reservations, never failed "
                 "faults.\n");
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

@@ -38,5 +38,5 @@ main()
                     ? "REGRESSION DETECTED — violates the paper's claim!"
                     : "no slowdowns: PTEMagnet is safe to enable "
                       "unconditionally (paper: 0-1%% gains here).");
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

@@ -51,5 +51,5 @@ main()
     std::printf("note: the peak occurs mid-initialization (sweeping "
                 "faults leave each group\npartially mapped for a short "
                 "while); steady-state occupancy is near zero.\n");
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

@@ -95,7 +95,8 @@ BM_PartLookupMiss(benchmark::State &state)
 BENCHMARK(BM_PartLookupMiss);
 
 /// The simulated §6.4 macro experiment.
-void
+/// @return the number of failed suite entries.
+std::size_t
 run_alloc_sweep()
 {
     using namespace ptm::sim;
@@ -127,6 +128,7 @@ run_alloc_sweep()
     std::printf("  change: %+.2f%%   [paper: -0.5%% — PTEMagnet slightly "
                 "faster, 7 of 8 buddy\n  calls replaced by PaRT hits]\n\n",
                 100.0 * (ptm - base) / base);
+    return result.failed_count();
 }
 
 }  // namespace
@@ -134,8 +136,8 @@ run_alloc_sweep()
 int
 main(int argc, char **argv)
 {
-    run_alloc_sweep();
+    const std::size_t failed = run_alloc_sweep();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return failed == 0 ? 0 : 1;
 }

@@ -216,5 +216,5 @@ main(int argc, char **argv)
                     (unsigned long long)r.dirty_ring_logged,
                     (unsigned long long)r.ws_estimate_pages);
     }
-    return EXIT_SUCCESS;
+    return result.failed_count() == 0 ? EXIT_SUCCESS : EXIT_FAILURE;
 }

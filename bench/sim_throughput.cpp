@@ -92,6 +92,7 @@ main(int argc, char **argv)
     SuiteResult result = suite.run(options);
 
     const EntryResult &entry = result.at("pagerank_objdet");
+    check(!entry.failed(), "suite entry completed");
     report_leg("baseline", entry.paired.baseline);
     report_leg("ptemagnet", entry.paired.ptemagnet);
 

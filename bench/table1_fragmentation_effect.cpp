@@ -59,5 +59,5 @@ main()
     std::printf("\npaper reference deltas: exec +11%%, PW cycles +61%%, "
                 "host-PT cycles +117%%,\n  guest-PT-from-memory +3%%, "
                 "host-PT-from-memory +283%%, cache/TLB misses <1%%\n");
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

@@ -42,5 +42,5 @@ main()
     std::printf("\npaper reference deltas: exec -7%%, PW cycles -17%%, "
                 "host-PT cycles -26%%,\n  guest-PT-from-memory -1%%, "
                 "host-PT-from-memory -13%%\n");
-    return 0;
+    return result.failed_count() == 0 ? 0 : 1;
 }

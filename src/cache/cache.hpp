@@ -18,9 +18,10 @@
  * scan is the scalar first-match loop find_way(): inside the inlined
  * access path it beat an SSE2 vector scan (DESIGN.md §9). Replacement
  * is dispatched with a single branch on ReplacementKind instead of a
- * virtual call (the virtual policies in replacement.hpp remain as the
- * reference model the tests compare against). Write-allocate, no dirty
- * tracking (latency is symmetric for the metrics the paper reports).
+ * virtual call (per-set virtual policy objects live on in
+ * tests/cache_test.cpp as the reference model the cache is compared
+ * against). Write-allocate, no dirty tracking (latency is symmetric for
+ * the metrics the paper reports).
  */
 #pragma once
 
@@ -30,13 +31,20 @@
 #include <vector>
 
 #include "cache/access.hpp"
-#include "cache/replacement.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "obs/stat_registry.hpp"
 
 namespace ptm::cache {
+
+/// Supported replacement policies.
+enum class ReplacementKind : std::uint8_t {
+    Lru,      ///< true least-recently-used
+    TreePlru, ///< tree pseudo-LRU (as in most real L1s)
+    Random,   ///< uniform random victim
+};
 
 /// Static shape of one cache level.
 struct CacheGeometry {

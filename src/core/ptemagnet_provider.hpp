@@ -62,7 +62,6 @@ class PtemagnetProvider final : public vm::PhysicalPageProvider {
     void on_process_exit(vm::Process &proc) override;
     void on_fork(vm::Process &parent, vm::Process &child) override;
     std::uint64_t reclaim(std::uint64_t target_frames) override;
-    std::string name() const override { return "ptemagnet"; }
 
     /**
      * cgroup-style enablement policy (§4.4): PTEMagnet applies only to

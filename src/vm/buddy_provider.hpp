@@ -23,7 +23,6 @@ class BuddyPageProvider final : public PhysicalPageProvider {
     FreeDisposition on_page_freed(Process &proc, std::uint64_t gvpn,
                                   std::uint64_t gfn) override;
     void on_process_exit(Process &proc) override;
-    std::string name() const override { return "linux-buddy"; }
 
   private:
     GuestKernel *kernel_;

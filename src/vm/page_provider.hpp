@@ -77,9 +77,6 @@ class PhysicalPageProvider {
         return 0;
     }
 
-    /// Human-readable policy name (appears in reports).
-    virtual std::string name() const = 0;
-
     /// Register provider counters under "<prefix>.*". Default: nothing
     /// (stateless policies have nothing to report).
     virtual void
@@ -90,9 +87,9 @@ class PhysicalPageProvider {
     }
 
     /**
-     * Frames the provider currently retains that no mapping uses
-     * (parked reservation tails, eager-backed leftovers). This is the
-     * "memory bloat" axis of the policy ablation.
+     * Frames the provider currently retains that no mapping uses (the
+     * parked frames of its reservations), all of which reclaim() can
+     * hand back. This is the "memory bloat" axis of the policy ablation.
      */
     virtual std::uint64_t held_frames() const { return 0; }
 };

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "vm/buddy_provider.hpp"
-#include "vm/huge_page_provider.hpp"
 #include "vm/reserve_thp_provider.hpp"
 
 namespace ptm::vm {
@@ -79,9 +78,12 @@ const bool kBuiltinsRegistered = [] {
                       [](GuestKernel *kernel, const PolicyParams &) {
                           return std::make_unique<BuddyPageProvider>(kernel);
                       });
+    // THP: a reservation promoted on its first fault. It reads no
+    // params, so "promotion_threshold" stays a reserve_thp knob.
     register_provider("thp",
                       [](GuestKernel *kernel, const PolicyParams &) {
-                          return std::make_unique<HugePageProvider>(kernel);
+                          return std::make_unique<ReserveThpProvider>(kernel,
+                                                                      1);
                       });
     register_provider(
         "reserve_thp", [](GuestKernel *kernel, const PolicyParams &params) {

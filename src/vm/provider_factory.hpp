@@ -7,9 +7,10 @@
  * Policies are chosen by name in ScenarioConfig ("buddy", "ptemagnet",
  * "thp", "reserve_thp", ...), with a PolicyParams bag carrying
  * policy-specific knobs, so new policies need no enum edits and become
- * sweepable by the ablation suite immediately. Layer-up policies (core's
- * PTEMagnet) register themselves from their own translation unit via
- * ProviderRegistrar.
+ * sweepable by the ablation suite immediately. One implementation may
+ * sit under several names: "thp" is ReserveThpProvider promoting on
+ * first touch. Layer-up policies (core's PTEMagnet) register themselves
+ * from their own translation unit via ProviderRegistrar.
  *
  * Unknown names fail fast with a SimError listing every registered name.
  */

@@ -1,7 +1,5 @@
 #include "vm/reserve_thp_provider.hpp"
 
-#include <vector>
-
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "obs/stat_registry.hpp"
@@ -62,15 +60,13 @@ ReserveThpProvider::allocate_page(Process &proc, std::uint64_t gvpn)
     auto it = regions_.find(key);
     if (it != regions_.end()) {
         Region &region = it->second;
-        auto frame_it = region.held.find(offset);
-        if (frame_it != region.held.end()) {
-            std::uint64_t gfn = frame_it->second;
-            region.held.erase(frame_it);
+        if (region.held.test(offset)) {
+            region.held.reset(offset);
             ++region.demand_faults;
             stats_.reservation_hits.inc();
             maybe_promote(proc, region_index, region);
             return {.ok = true,
-                    .gfn = gfn,
+                    .gfn = region.base + offset,
                     .cycles = kernel_->costs().reservation_hit};
         }
         // Offset was handed out before (and possibly freed to the buddy
@@ -78,8 +74,9 @@ ReserveThpProvider::allocate_page(Process &proc, std::uint64_t gvpn)
         return plain_single();
     }
 
-    // First touch of the region: reserve an aligned order-9 block, map
-    // only the faulting page, park the rest.
+    // First touch of the region: reserve an aligned order-9 block and
+    // park every frame but the faulting page's. The first fault counts
+    // toward promotion like a hit, so threshold 1 maps the rest now.
     std::optional<std::uint64_t> base =
         kernel_->buddy().allocate_split(kRegionOrder);
     if (!base) {
@@ -88,7 +85,7 @@ ReserveThpProvider::allocate_page(Process &proc, std::uint64_t gvpn)
     }
 
     stats_.reservations_created.inc();
-    Region region;
+    Region &region = regions_[key];
     region.base = *base;
     region.demand_faults = 1;
     for (unsigned i = 0; i < kRegionPages; ++i) {
@@ -96,9 +93,9 @@ ReserveThpProvider::allocate_page(Process &proc, std::uint64_t gvpn)
             continue;  // the kernel maps the faulting page itself
         kernel_->memory().set_use(*base + i, 1, mem::FrameUse::Kernel,
                                   proc.pid());
-        region.held.emplace(i, *base + i);
+        region.held.set(i);
     }
-    regions_.emplace(key, std::move(region));
+    maybe_promote(proc, region_index, region);
 
     return {.ok = true,
             .gfn = *base + offset,
@@ -116,11 +113,12 @@ ReserveThpProvider::maybe_promote(Process &proc, std::uint64_t region_index,
     region.promoted = true;
     stats_.promotions.inc();
 
-    std::vector<unsigned> mapped_offsets;
-    for (const auto &[offset, frame] : region.held) {
+    for (unsigned offset = 0; offset < kRegionPages; ++offset) {
         std::uint64_t page = region_index * kRegionPages + offset;
-        if (!proc.vas().is_mapped(page) || proc.page_table().lookup(page))
-            continue;  // outside any VMA, or raced with a remap
+        if (!region.held.test(offset) || !proc.vas().is_mapped(page) ||
+            proc.page_table().lookup(page))
+            continue;  // not parked, outside any VMA, or already mapped
+        const std::uint64_t frame = region.base + offset;
         if (!proc.page_table().map(page,
                                    {.writable = true, .frame = frame}))
             ptm_throw("guest OOM while promoting region %llu for pid %d",
@@ -130,10 +128,8 @@ ReserveThpProvider::maybe_promote(Process &proc, std::uint64_t region_index,
                                   proc.pid());
         proc.add_rss(1);
         stats_.pages_eager_mapped.inc();
-        mapped_offsets.push_back(offset);
+        region.held.reset(offset);
     }
-    for (unsigned offset : mapped_offsets)
-        region.held.erase(offset);
 }
 
 FreeDisposition
@@ -151,18 +147,21 @@ ReserveThpProvider::on_page_freed(Process &proc, std::uint64_t gvpn,
     // The page still sits in its reserved slot: park it again so a later
     // fault (or promotion) reuses it contiguously.
     kernel_->memory().set_use(gfn, 1, mem::FrameUse::Kernel, proc.pid());
-    region.held.emplace(offset, gfn);
+    region.held.set(offset);
     return FreeDisposition::KeptByProvider;
 }
 
 void
 ReserveThpProvider::release_held(Region &region)
 {
-    for (const auto &[offset, frame] : region.held) {
-        kernel_->memory().set_use(frame, 1, mem::FrameUse::Free);
-        kernel_->buddy().free(frame);
+    for (unsigned offset = 0; offset < kRegionPages; ++offset) {
+        if (!region.held.test(offset))
+            continue;
+        kernel_->memory().set_use(region.base + offset, 1,
+                                  mem::FrameUse::Free);
+        kernel_->buddy().free(region.base + offset);
     }
-    region.held.clear();
+    region.held.reset();
 }
 
 std::uint64_t
@@ -172,7 +171,7 @@ ReserveThpProvider::reclaim(std::uint64_t target_frames)
     for (auto &[key, region] : regions_) {
         if (released >= target_frames)
             break;
-        std::uint64_t give = region.held.size();
+        std::uint64_t give = region.held.count();
         if (give == 0)
             continue;
         release_held(region);
@@ -200,7 +199,7 @@ ReserveThpProvider::held_frames() const
 {
     std::uint64_t total = 0;
     for (const auto &[key, region] : regions_)
-        total += region.held.size();
+        total += region.held.count();
     return total;
 }
 

@@ -3,26 +3,34 @@
  * Reservation-based THP: reserve a 2 MiB block on first touch, map pages
  * lazily, promote (eagerly map the remainder) once the region proves hot.
  *
- * The middle ground between PTEMagnet's small reservations and the
- * eager-everything THP model (§2.3): first touch of a 2 MiB virtual
- * region reserves an aligned 512-frame block but maps only the faulting
- * page; later faults in the region are served from the reservation
- * (keeping the region physically contiguous, like a FreeBSD-style
- * reservation system). When promotion_threshold pages of a region have
- * been demand-faulted, the region is promoted: every remaining page
- * inside a VMA is eagerly mapped, THP-style. If no aligned block is
- * available (fragmentation), the fault falls back to a plain 4 KiB buddy
- * allocation.
+ * The paper's §2.3 case against THP — eager 2 MiB backing bloats sparse
+ * tenants — and the middle ground between it and PTEMagnet's small
+ * reservations are one mechanism: first touch of a 2 MiB virtual region
+ * reserves an aligned 512-frame block and parks every frame but the
+ * faulting page's; later faults in the region are served from the
+ * reservation (keeping the region physically contiguous, like a
+ * FreeBSD-style reservation system). When promotion_threshold pages of a
+ * region have been demand-faulted, the region is promoted: every
+ * remaining page inside a VMA is eagerly mapped. A page freed in its
+ * reserved slot is parked again, and parked frames go back to the buddy
+ * under pressure (Linux's deferred split of a partly unmapped THP). If
+ * no aligned block is available (fragmentation), the fault falls back
+ * to a plain 4 KiB buddy allocation.
  *
- * Parameters (PolicyParams): "promotion_threshold" — demand faults per
- * region before promotion (default 64; 0 disables promotion, leaving a
- * purely lazy reservation policy).
+ * Registered twice: "reserve_thp" reads "promotion_threshold" from its
+ * PolicyParams (default 64; 0 disables promotion, leaving a purely lazy
+ * reservation policy), and "thp" is threshold 1, which promotes on the
+ * first fault — the eager map-all THP model.
+ *
+ * Simplification: translations still use 4 KiB leaf PTEs (no 2 MiB leaf
+ * entries or huge-TLB modelling); the comparison axis is contiguity and
+ * memory footprint, which is the axis the paper argues about.
  */
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 
 #include "common/stats.hpp"
 #include "vm/page_provider.hpp"
@@ -56,24 +64,19 @@ class ReserveThpProvider final : public PhysicalPageProvider {
                                   std::uint64_t gfn) override;
     void on_process_exit(Process &proc) override;
     std::uint64_t reclaim(std::uint64_t target_frames) override;
-    std::string name() const override { return "reserve-thp"; }
 
     void register_stats(obs::StatRegistry &registry,
                         const std::string &prefix) override;
     std::uint64_t held_frames() const override;
 
     const ReserveThpStats &stats() const { return stats_; }
-    std::uint64_t promotion_threshold() const
-    {
-        return promotion_threshold_;
-    }
 
   private:
     /// One reserved 2 MiB region of one process.
     struct Region {
         std::uint64_t base = 0;  ///< first frame of the reserved block
-        /// Parked frames by page offset (reserved, not yet mapped).
-        std::unordered_map<unsigned, std::uint64_t> held;
+        /// Parked (reserved, unmapped) frames: bit i is frame base + i.
+        std::bitset<kRegionPages> held;
         std::uint64_t demand_faults = 0;
         bool promoted = false;
     };

@@ -1,27 +1,35 @@
 /**
  * @file
- * Tests for the THP-like eager backing provider (the §2.3 comparison
- * policy).
+ * Tests for the "thp" policy (the §2.3 comparison policy): a 2 MiB
+ * reservation promoted on its first fault, so every in-VMA page of the
+ * region is backed eagerly.
  */
 #include <gtest/gtest.h>
 
 #include "vm/guest_kernel.hpp"
-#include "vm/huge_page_provider.hpp"
+#include "vm/provider_factory.hpp"
+#include "vm/reserve_thp_provider.hpp"
 
 namespace ptm::vm {
 namespace {
 
+/// Install the "thp" policy in @p kernel and return it.
+ReserveThpProvider *
+install_thp(GuestKernel &kernel)
+{
+    auto provider = make_provider("thp", &kernel, {});
+    auto *raw = dynamic_cast<ReserveThpProvider *>(provider.get());
+    EXPECT_NE(raw, nullptr);
+    kernel.set_provider(std::move(provider));
+    return raw;
+}
+
 class HugePageTest : public ::testing::Test {
   protected:
-    HugePageTest() : kernel_(8192)
-    {
-        auto provider = std::make_unique<HugePageProvider>(&kernel_);
-        provider_ = provider.get();
-        kernel_.set_provider(std::move(provider));
-    }
+    HugePageTest() : kernel_(8192), provider_(install_thp(kernel_)) {}
 
     GuestKernel kernel_;
-    HugePageProvider *provider_ = nullptr;
+    ReserveThpProvider *provider_;
 };
 
 TEST_F(HugePageTest, FirstFaultBacksWholeRegionEagerly)
@@ -32,7 +40,7 @@ TEST_F(HugePageTest, FirstFaultBacksWholeRegionEagerly)
 
     mmu::FaultOutcome outcome = kernel_.handle_fault(proc, gvpn);
     ASSERT_TRUE(outcome.ok);
-    EXPECT_EQ(provider_->stats().regions_backed.value(), 1u);
+    EXPECT_EQ(provider_->stats().promotions.value(), 1u);
     // Every page of the (VMA-covered) region got mapped immediately.
     EXPECT_EQ(proc.rss_pages(), 512u);
     for (unsigned i = 0; i < 512; ++i)
@@ -64,7 +72,7 @@ TEST_F(HugePageTest, PartialVmaLeavesUnusedBackedFrames)
     kernel_.handle_fault(proc, gvpn);
 
     EXPECT_EQ(proc.rss_pages(), 64u);
-    EXPECT_EQ(provider_->unused_backed_pages(proc.pid()), 512u - 64u);
+    EXPECT_EQ(provider_->held_frames(), 512u - 64u);
     EXPECT_EQ(kernel_.memory().count_use(mem::FrameUse::Kernel,
                                          proc.pid()),
               512u - 64u);
@@ -91,9 +99,7 @@ TEST_F(HugePageTest, LaterVmaFaultServedFromRetainedFrames)
 TEST_F(HugePageTest, FallsBackWhenNoContiguousBlock)
 {
     GuestKernel small(600);
-    auto provider = std::make_unique<HugePageProvider>(&small);
-    HugePageProvider *raw = provider.get();
-    small.set_provider(std::move(provider));
+    ReserveThpProvider *raw = install_thp(small);
     Process &proc = small.create_process("app");
     // Eat frames until no order-9 block remains.
     while (small.buddy().can_allocate(9))
@@ -112,10 +118,34 @@ TEST_F(HugePageTest, ExitReturnsRetainedFrames)
     Process &proc = kernel_.create_process("app");
     Addr base = proc.vas().mmap(64 * kPageSize);
     kernel_.handle_fault(proc, page_number(base));
-    EXPECT_GT(provider_->unused_backed_pages(proc.pid()), 0u);
+    EXPECT_GT(provider_->held_frames(), 0u);
     kernel_.exit_process(proc);
     EXPECT_EQ(kernel_.buddy().free_frames_count(), free_at_start);
     kernel_.buddy().check_invariants();
+}
+
+TEST_F(HugePageTest, FreedPageIsParkedAndReclaimable)
+{
+    Process &proc = kernel_.create_process("app");
+    Addr base = proc.vas().mmap(512 * kPageSize);
+    std::uint64_t gvpn = page_number(base);
+    kernel_.handle_fault(proc, gvpn);
+    ASSERT_EQ(provider_->held_frames(), 0u);
+    std::uint64_t gfn = proc.page_table().lookup(gvpn + 7)->frame();
+    std::uint64_t free_before = kernel_.buddy().free_frames_count();
+
+    // Freeing a page of the promoted region parks its frame (the
+    // deferred split of a partly unmapped THP) instead of freeing it.
+    kernel_.free_page(proc, gvpn + 7);
+    EXPECT_EQ(provider_->held_frames(), 1u);
+    EXPECT_EQ(kernel_.memory().info(gfn).use, mem::FrameUse::Kernel);
+    EXPECT_EQ(kernel_.buddy().free_frames_count(), free_before);
+
+    // Pressure hands it back to the buddy.
+    EXPECT_EQ(provider_->reclaim(1), 1u);
+    EXPECT_EQ(provider_->held_frames(), 0u);
+    EXPECT_EQ(kernel_.memory().info(gfn).use, mem::FrameUse::Free);
+    EXPECT_EQ(kernel_.buddy().free_frames_count(), free_before + 1);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "vm/guest_kernel.hpp"
+#include "vm/provider_factory.hpp"
 #include "vm/reserve_thp_provider.hpp"
 #include "vm/virtual_address_space.hpp"
 
@@ -268,14 +270,17 @@ TEST_F(GuestKernelTest, OomReportsFailure)
     EXPECT_GT(tiny.stats().oom_events.value(), 0u);
 }
 
-/// A guest under reserve_thp. Each case faults one page, whose
-/// reservation parks the other 511 frames of its 2 MiB block, then drains
-/// the buddy, so the next allocation can only come from that tail.
-class ParkedFramesTest : public GuestKernelTest {
+/// A guest under the THP-shaped policy named by the parameter. Each case
+/// faults the only page of a one-page VMA, whose reservation parks the
+/// other 511 frames of its 2 MiB block (promotion has nothing else to
+/// map), then drains the buddy, so the next allocation can only come
+/// from that tail.
+class ParkedFramesTest : public GuestKernelTest,
+                         public ::testing::WithParamInterface<std::string> {
   protected:
     ParkedFramesTest()
     {
-        auto provider = std::make_unique<ReserveThpProvider>(&kernel_);
+        auto provider = make_provider(GetParam(), &kernel_, {});
         provider_ = provider.get();
         kernel_.set_provider(std::move(provider));
     }
@@ -288,30 +293,33 @@ class ParkedFramesTest : public GuestKernelTest {
         }
     }
 
-    static constexpr std::uint64_t kParked =
-        ReserveThpProvider::kRegionPages - 1;
-    ReserveThpProvider *provider_ = nullptr;
+    static constexpr std::uint64_t kRegionPages =
+        ReserveThpProvider::kRegionPages;
+    static constexpr std::uint64_t kParked = kRegionPages - 1;
+    PhysicalPageProvider *provider_ = nullptr;
 };
 
-TEST_F(ParkedFramesTest, OomFaultIsServedFromParkedFrames)
+TEST_P(ParkedFramesTest, OomFaultIsServedFromParkedFrames)
 {
     Process &proc = kernel_.create_process("app");
-    Addr base = proc.vas().mmap(2 * ReserveThpProvider::kRegionPages *
-                                kPageSize);
-    std::uint64_t gvpn = page_number(base);
+    std::uint64_t gvpn = page_number(proc.vas().mmap(kPageSize));
     fault(proc, gvpn);
     drain_buddy();
 
     // A page of the next 2 MiB region: no reservation to serve it, and
     // no free frame left but the parked ones.
-    fault(proc, gvpn + ReserveThpProvider::kRegionPages);
+    std::uint64_t next =
+        page_number(proc.vas().mmap(kRegionPages * kPageSize)) +
+        kRegionPages - 1;
+    ASSERT_EQ(next / kRegionPages, gvpn / kRegionPages + 1);
+    fault(proc, next);
     EXPECT_EQ(kernel_.stats().oom_events.value(), 0u);
     EXPECT_EQ(kernel_.stats().reclaim_runs.value(), 1u);
     EXPECT_EQ(kernel_.stats().frames_reclaimed.value(), kParked);
     EXPECT_EQ(provider_->held_frames(), 0u);
 }
 
-TEST_F(ParkedFramesTest, OomCowBreakIsServedFromParkedFrames)
+TEST_P(ParkedFramesTest, OomCowBreakIsServedFromParkedFrames)
 {
     Process &parent = kernel_.create_process("parent");
     Addr base = parent.vas().mmap(kPageSize);
@@ -326,6 +334,9 @@ TEST_F(ParkedFramesTest, OomCowBreakIsServedFromParkedFrames)
     EXPECT_EQ(kernel_.stats().frames_reclaimed.value(), kParked);
     EXPECT_EQ(provider_->held_frames(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(ThpPolicies, ParkedFramesTest,
+                         ::testing::Values("reserve_thp", "thp"));
 
 TEST_F(GuestKernelTest, ExitReclaimsAllMemory)
 {
