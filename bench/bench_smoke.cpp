@@ -120,7 +120,8 @@ main()
     const EntryResult &doomed_result = result.at("pagerank_oom");
     check(doomed_result.failed(), "hopeless entry marked failed");
     check(!doomed_result.error.empty(), "failure recorded its error");
-    check(doomed_result.attempts == 1, "no retries were configured");
+    check(doomed_result.leg_errors.size() == 1,
+          "one error recorded for the one failed leg");
 
     // The JSON sink must round-trip the whole result set.
     std::string path = "BENCH_smoke.json";

@@ -5,8 +5,8 @@
 namespace ptm::cache {
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
-                                 unsigned num_cores, Rng *rng)
-    : config_(config), num_cores_(num_cores), llc_(config.llc, rng)
+                                 unsigned num_cores)
+    : config_(config), num_cores_(num_cores), llc_(config.llc)
 {
     if (num_cores == 0)
         ptm_fatal("hierarchy needs at least one core");
@@ -18,8 +18,8 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
     l1_.reserve(num_cores);
     l2_.reserve(num_cores);
     for (unsigned c = 0; c < num_cores; ++c) {
-        l1_.emplace_back(config_.l1, rng);
-        l2_.emplace_back(config_.l2, rng);
+        l1_.emplace_back(config_.l1);
+        l2_.emplace_back(config_.l2);
     }
 }
 

@@ -27,9 +27,9 @@ namespace ptm::cache {
 
 /// Shape and timing of the whole hierarchy.
 struct HierarchyConfig {
-    CacheGeometry l1 = {"L1D", 16 * 1024, 8, ReplacementKind::Lru};
-    CacheGeometry l2 = {"L2", 64 * 1024, 8, ReplacementKind::Lru};
-    CacheGeometry llc = {"LLC", 256 * 1024, 16, ReplacementKind::Lru};
+    CacheGeometry l1 = {"L1D", 16 * 1024, 8};
+    CacheGeometry l2 = {"L2", 64 * 1024, 8};
+    CacheGeometry llc = {"LLC", 256 * 1024, 16};
 
     Cycles l1_latency = 4;
     Cycles l2_latency = 14;
@@ -63,8 +63,7 @@ struct HierarchyStats {
  */
 class MemoryHierarchy {
   public:
-    MemoryHierarchy(const HierarchyConfig &config, unsigned num_cores,
-                    Rng *rng = nullptr);
+    MemoryHierarchy(const HierarchyConfig &config, unsigned num_cores);
 
     /**
      * Access physical address @p paddr from @p core.

@@ -54,7 +54,6 @@ class TraceSink {
         now_tid_ = tid;
     }
     std::uint64_t now() const { return now_; }
-    unsigned now_tid() const { return now_tid_; }
 
     /// Record one complete event ("ph":"X").
     void event(const char *name, const char *category, std::uint64_t ts,

@@ -43,7 +43,6 @@ HashedPageTable::HashedPageTable(FrameSource frames,
         }
         frames_.push_back(*frame);
     }
-    stats_.nodes_allocated.inc(initial_frames);
     slots_.resize(initial_frames * kSlotsPerFrame);
 }
 
@@ -51,7 +50,6 @@ HashedPageTable::~HashedPageTable()
 {
     for (std::uint64_t frame : frames_)
         source_.release(frame);
-    stats_.nodes_released.inc(frames_.size());
 }
 
 std::uint64_t
@@ -138,12 +136,9 @@ HashedPageTable::grow()
 
         for (std::uint64_t frame : frames_)
             source_.release(frame);
-        stats_.nodes_released.inc(frames_.size());
-        stats_.nodes_allocated.inc(new_frame_count);
         frames_ = std::move(new_frames);
         slots_ = std::move(new_slots);
         used_ = occupied_;  // rehash clears tombstones
-        hashed_stats_.rehashes.inc();
         return true;
     }
 }
@@ -158,7 +153,6 @@ HashedPageTable::map(std::uint64_t vpn, const PteFields &fields)
     std::uint64_t existing = find_slot(vpn);
     if (existing != kNpos) {
         slots_[existing].pte = pte;
-        stats_.mappings.inc();
         return true;
     }
 
@@ -179,7 +173,6 @@ HashedPageTable::map(std::uint64_t vpn, const PteFields &fields)
                 ++used_;
             slot = Slot{vpn, pte, SlotState::Occupied};
             ++occupied_;
-            stats_.mappings.inc();
             return true;
         }
         // Chain exceeds the probe bound: rehash into a bigger table so
@@ -198,7 +191,6 @@ HashedPageTable::unmap(std::uint64_t vpn)
     // Tombstone, not Empty: later entries probe through this slot.
     slots_[s] = Slot{0, Pte{}, SlotState::Tombstone};
     --occupied_;
-    stats_.unmappings.inc();
 }
 
 std::optional<Pte>
@@ -237,12 +229,10 @@ HashedPageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
         step.entry_paddr = slot_paddr(s);
         if (slot.state == SlotState::Occupied && slot.vpn == vpn) {
             step.pte = slot.pte;
-            hashed_stats_.probes.inc(n);
             return WalkResult{.steps = n, .complete = true};
         }
         if (slot.state == SlotState::Empty) {
             step.pte = Pte{};
-            hashed_stats_.probes.inc(n);
             return WalkResult{.steps = n, .complete = false};
         }
         // Non-matching entry or deletion marker: the walker reads a
@@ -257,7 +247,6 @@ HashedPageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
     // (insertion enforces the bound), so signal a fault via a final
     // non-present entry.
     steps[kMaxWalkSteps - 1].pte = Pte{};
-    hashed_stats_.probes.inc(kMaxWalkSteps);
     return WalkResult{.steps = kMaxWalkSteps, .complete = false};
 }
 

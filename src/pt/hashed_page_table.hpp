@@ -33,12 +33,6 @@
 
 namespace ptm::pt {
 
-/// Hashed-table activity beyond the common PageTableStats.
-struct HashedTableStats {
-    Counter probes;    ///< total probe touches across walks/lookups
-    Counter rehashes;  ///< table grows (all entries re-placed)
-};
-
 class HashedPageTable final : public TranslationTable {
   public:
     /// Entry slots per 4 KiB bucket frame (512 eight-byte entries).
@@ -65,12 +59,9 @@ class HashedPageTable final : public TranslationTable {
 
     std::uint64_t root_frame() const override { return frames_.front(); }
     std::uint64_t node_count() const override { return frames_.size(); }
-    const PageTableStats &stats() const override { return stats_; }
     std::string name() const override { return "hashed"; }
     /// Probe sequences share no hierarchical prefix: no PWC contract.
     bool radix_levels() const override { return false; }
-
-    const HashedTableStats &hashed_stats() const { return hashed_stats_; }
 
     /// Live translations (diagnostics / tests).
     std::uint64_t entry_count() const { return occupied_; }
@@ -115,9 +106,6 @@ class HashedPageTable final : public TranslationTable {
     std::vector<Slot> slots_;
     std::uint64_t occupied_ = 0;  ///< live entries
     std::uint64_t used_ = 0;      ///< live + tombstoned slots
-    PageTableStats stats_;
-    /// Probe accounting happens inside const walks/lookups.
-    mutable HashedTableStats hashed_stats_;
 };
 
 }  // namespace ptm::pt

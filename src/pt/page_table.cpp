@@ -34,7 +34,6 @@ PageTable::make_node()
     auto node = std::make_unique<Node>();
     node->frame = *frame;
     ++node_count_;
-    stats_.nodes_allocated.inc();
     return node;
 }
 
@@ -49,7 +48,6 @@ PageTable::release_node(Node *node, unsigned level)
     }
     frames_.release(node->frame);
     --node_count_;
-    stats_.nodes_released.inc();
 }
 
 const PageTable::Node *
@@ -86,7 +84,6 @@ PageTable::map(std::uint64_t vpn, const PteFields &fields)
     PteFields with_present = fields;
     with_present.present = true;
     node->slots[leaf_index].pte = Pte::encode(with_present);
-    stats_.mappings.inc();
     return true;
 }
 
@@ -100,10 +97,8 @@ PageTable::unmap(std::uint64_t vpn)
             return;
     }
     Slot &leaf = node->slots[index_at(vpn, kPtLevels - 1)];
-    if (leaf.pte.present()) {
+    if (leaf.pte.present())
         leaf.pte = Pte{};
-        stats_.unmappings.inc();
-    }
 }
 
 std::optional<Pte>

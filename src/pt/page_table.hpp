@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "pt/pte.hpp"
 #include "pt/translation_table.hpp"
@@ -86,8 +85,6 @@ class PageTable final : public TranslationTable {
     /// Total nodes currently allocated, all levels.
     std::uint64_t node_count() const override { return node_count_; }
 
-    const PageTableStats &stats() const override { return stats_; }
-
     std::string name() const override { return "radix"; }
 
     /// The PWC contract holds by construction.
@@ -126,7 +123,6 @@ class PageTable final : public TranslationTable {
     FrameSource frames_;
     std::unique_ptr<Node> root_;
     std::uint64_t node_count_ = 0;
-    PageTableStats stats_;
 };
 
 }  // namespace ptm::pt

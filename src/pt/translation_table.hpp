@@ -21,7 +21,6 @@
 #include <optional>
 #include <string>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "pt/pte.hpp"
 
@@ -54,14 +53,6 @@ struct WalkResult {
 
 /// Step buffer a walker hands to walk(); sized for any table.
 using WalkSteps = std::array<WalkStep, kMaxWalkSteps>;
-
-/// Table-population counters (shared across implementations).
-struct PageTableStats {
-    Counter nodes_allocated;
-    Counter nodes_released;
-    Counter mappings;
-    Counter unmappings;
-};
 
 /**
  * Abstract translation structure. Not thread-safe; the owning kernel
@@ -108,8 +99,6 @@ class TranslationTable {
 
     /// Structure frames currently allocated.
     virtual std::uint64_t node_count() const = 0;
-
-    virtual const PageTableStats &stats() const = 0;
 
     /// Registered factory name ("radix", "hashed", ...).
     virtual std::string name() const = 0;

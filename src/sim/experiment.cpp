@@ -70,15 +70,6 @@ run_scenario(const ScenarioConfig &config)
                   config.vms, config.overcommit.armed() ? "armed" : "off",
                   config.churn.armed() ? "armed" : "off");
     }
-    if (config.replay_fast_forward &&
-        (config.trace_replay.empty() || config.measure_init)) {
-        ptm_throw("replay_fast_forward requires trace_replay and "
-                  "measure_init=false: the init phase must come from a "
-                  "recorded stream and be excluded from measurement "
-                  "(trace_replay %s, measure_init %s)",
-                  config.trace_replay.empty() ? "unset" : "set",
-                  config.measure_init ? "true" : "false");
-    }
 
     // Every job needs a core for its whole life; churn boots/forks each
     // add at most one, so size the hierarchy for the worst case.
@@ -103,14 +94,11 @@ run_scenario(const ScenarioConfig &config)
                       cores);
         }
     }
-    PlatformConfig platform = config.platform;
-    platform.seed ^= config.seed * 0x9e3779b97f4a7c15ULL;
-
     // Declared before the System: the buddy allocators and guest kernel
     // hold raw pointers into the injector, so it must be destroyed last.
     std::optional<FaultInjector> injector;
 
-    System system(platform, cores);
+    System system(config.platform, cores);
     // Co-resident VMs boot right after VM 0 so their slot indices (and
     // registry namespaces "vm1".."vmN-1") are assigned before any job or
     // churn event exists.
@@ -215,12 +203,6 @@ run_scenario(const ScenarioConfig &config)
             result.peak_unused_reservation_fraction = fraction;
     };
 
-    // Fast-forward mode: the warmup and init phases below run
-    // functionally (mapping state only); the detailed model takes over
-    // at the init-end handover before Phase B.
-    if (config.replay_fast_forward)
-        system.set_functional_mode(true);
-
     // Phase 0: co-runners reach steady state before the victim starts.
     if (config.corunner_warmup_ops > 0 && !config.corunners.empty()) {
         victim.set_paused(true);
@@ -261,16 +243,8 @@ run_scenario(const ScenarioConfig &config)
     }
 
     // Phase B: measure.
-    if (config.replay_fast_forward) {
-        // Handover: leave functional mode and flush the (empty) micro-
-        // architectural state, so the measured phase runs the detailed
-        // model from exactly the cold state a cold_measurement run
-        // measures from.
-        system.set_functional_mode(false);
+    if (config.cold_measurement)
         system.flush_microarch();
-    } else if (config.cold_measurement) {
-        system.flush_microarch();
-    }
     if (!config.measure_init)
         system.reset_measurement();
     std::uint64_t remaining = config.measure_ops;

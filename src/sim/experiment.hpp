@@ -97,18 +97,8 @@ struct ScenarioConfig {
     /// order). Because scheduling is done in op space, one recorded
     /// trace drives every {policy × table} leg identically.
     std::string trace_replay;
-    /// Replay-only fast-forward: apply the recorded warmup/init phases
-    /// functionally (mapping-state effects only — same kernel calls in
-    /// the same fault order, no TLB/cache/cycle simulation), then flush
-    /// all microarchitectural state and drop into the detailed model at
-    /// the recorded init-end marker. Requires trace_replay set and
-    /// measure_init false. Measured-phase metrics are bit-identical to
-    /// a full-fidelity run with cold_measurement set.
-    bool replay_fast_forward = false;
     /// Flush TLBs, PWCs, nested TLBs, and the cache hierarchy at the
-    /// init/measure boundary so measurement starts from a cold
-    /// machine. This is the state a fast-forwarded run measures from;
-    /// set it on a full-fidelity run to make the two comparable.
+    /// init/measure boundary so measurement starts from a cold machine.
     bool cold_measurement = false;
     /// Co-resident VM count sharing the host (1 = the historic single-VM
     /// scenario). VMs beyond the first are described by vm_specs; when
@@ -252,13 +242,6 @@ struct ScenarioConfig {
     with_trace_replay(std::string path)
     {
         trace_replay = std::move(path);
-        return *this;
-    }
-    /// Fast-forward the replayed init phases (see replay_fast_forward).
-    ScenarioConfig &
-    with_replay_fast_forward(bool ff = true)
-    {
-        replay_fast_forward = ff;
         return *this;
     }
     /// Start measurement from flushed microarchitectural state.

@@ -33,17 +33,6 @@ ChurnPlan::count(ChurnAction action) const
     return n;
 }
 
-ChurnPlan &
-ChurnPlan::event_at(std::uint64_t step, ChurnAction action)
-{
-    events.push_back({step, action});
-    std::stable_sort(events.begin(), events.end(),
-                     [](const ChurnEvent &a, const ChurnEvent &b) {
-                         return a.at_step < b.at_step;
-                     });
-    return *this;
-}
-
 ChurnPlan
 ChurnPlan::storm(std::uint64_t seed, std::uint64_t begin_step,
                  std::uint64_t end_step, std::uint64_t boots,

@@ -40,13 +40,10 @@ struct OvercommitPolicy {
     /// one; doubled after each unproductive sweep up to backoff_max.
     std::uint64_t backoff_initial = 64;
     std::uint64_t backoff_max = 4096;
-    /// OOM victim choice: "largest_backed" (most host frames, lowest
-    /// index on ties), "lowest_index", or "youngest".
-    std::string victim_policy = "largest_backed";
-    /// Allow the OOM-killer as the final rung of the survival ladder.
+    /// Allow the OOM-killer as the final rung of the survival ladder. It
+    /// kills the VM backing the most host frames (lowest index on ties),
+    /// never VM 0 (the measured victim's VM) nor the faulting VM.
     bool oom_kill_enabled = true;
-    /// Never OOM-kill VM 0 (the measured victim's VM).
-    bool protect_primary = true;
 
     bool armed() const { return low_watermark_frames > 0; }
 
@@ -72,21 +69,9 @@ struct OvercommitPolicy {
         return *this;
     }
     OvercommitPolicy &
-    with_victim_policy(std::string name)
-    {
-        victim_policy = std::move(name);
-        return *this;
-    }
-    OvercommitPolicy &
     with_oom_kill(bool enabled)
     {
         oom_kill_enabled = enabled;
-        return *this;
-    }
-    OvercommitPolicy &
-    with_protect_primary(bool protect)
-    {
-        protect_primary = protect;
         return *this;
     }
 };
@@ -175,7 +160,7 @@ struct ChurnPlan {
     double scale = 0.02;
     /// Guest-physical frames of churn-booted VMs; 0 = platform default.
     std::uint64_t guest_frames = 0;
-    /// Schedule, kept sorted by at_step (storm() and *_at guarantee it).
+    /// Schedule, kept sorted by at_step (storm() guarantees it).
     std::vector<ChurnEvent> events;
 
     bool armed() const { return !events.empty(); }
@@ -206,24 +191,6 @@ struct ChurnPlan {
         guest_frames = frames;
         return *this;
     }
-    /// Append one event; re-sorts so hand-built plans stay ordered.
-    ChurnPlan &event_at(std::uint64_t step, ChurnAction action);
-    ChurnPlan &
-    boot_at(std::uint64_t step)
-    {
-        return event_at(step, ChurnAction::Boot);
-    }
-    ChurnPlan &
-    kill_at(std::uint64_t step)
-    {
-        return event_at(step, ChurnAction::Kill);
-    }
-    ChurnPlan &
-    fork_at(std::uint64_t step)
-    {
-        return event_at(step, ChurnAction::Fork);
-    }
-
     /**
      * A seeded storm: @p boots boot, @p kills kill, and @p forks fork
      * events drawn uniformly over [begin_step, end_step) and stably

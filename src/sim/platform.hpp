@@ -43,7 +43,9 @@ struct PlatformConfig {
     /// processes.
     unsigned slice_ops = 2;
 
-    /// Master seed for scheduler jitter and random replacement.
+    /// Read by nothing: the simulated machine draws no random numbers
+    /// (workloads take ScenarioConfig::seed). Kept only because
+    /// perfbench/scenarios.cpp assigns it.
     std::uint64_t seed = 12345;
 
     /// Translation structure for both the guest and host page tables,

@@ -147,12 +147,11 @@ SuiteResult::to_json() const
         }
         e.set("config", sim::to_json(entry.entry.config));
         e.set("status", entry.failed() ? "failed" : "ok");
-        e.set("attempts", entry.attempts);
         if (entry.failed())
             e.set("error", entry.error);
-        if (!entry.attempt_errors.empty()) {
+        if (!entry.leg_errors.empty()) {
             Json errors = Json::array();
-            for (const std::string &message : entry.attempt_errors)
+            for (const std::string &message : entry.leg_errors)
                 errors.push_back(message);
             e.set("errors", std::move(errors));
         }
@@ -294,44 +293,26 @@ ExperimentSuite::run(const SuiteOptions &options) const
     {
         ThreadPool pool(threads);
 
-        // Entry bookkeeping (status / error / attempts) is shared by the
-        // two legs of a paired entry, which may fail concurrently.
+        // Entry bookkeeping (status / errors) is shared by the two legs
+        // of a paired entry, which may fail concurrently.
         std::mutex status_mutex;
-        const unsigned retries = options.retries;
 
-        // One leg: run (with retries) and store into its result slot; a
-        // SimError after the last attempt marks the whole entry Failed.
-        // Anything else — ptm_panic aborts, bad_alloc, logic errors —
-        // escapes to the pool and is rethrown from wait(): crash
-        // isolation covers *recoverable* per-run errors only.
-        auto run_leg = [&status_mutex, retries](EntryResult &slot,
-                                                ScenarioResult &out,
-                                                ScenarioConfig config) {
-            for (unsigned attempt = 0;; ++attempt) {
-                {
-                    std::lock_guard<std::mutex> lock(status_mutex);
-                    ++slot.attempts;
-                }
-                try {
-                    out = run_scenario(config);
-                    return;
-                } catch (const SimError &e) {
-                    {
-                        // Record every attempt's error, not just the one
-                        // that exhausted the retries: a retried-then-
-                        // green leg stays distinguishable from a clean
-                        // one in the entry JSON.
-                        std::lock_guard<std::mutex> lock(status_mutex);
-                        slot.attempt_errors.push_back(e.what());
-                    }
-                    if (attempt < retries)
-                        continue;
-                    std::lock_guard<std::mutex> lock(status_mutex);
-                    slot.status = EntryStatus::Failed;
-                    if (slot.error.empty())
-                        slot.error = e.what();
-                    return;
-                }
+        // One leg: run and store into its result slot; a SimError marks
+        // the whole entry Failed. Anything else — ptm_panic aborts,
+        // bad_alloc, logic errors — escapes to the pool and is rethrown
+        // from wait(): crash isolation covers *recoverable* per-run
+        // errors only.
+        auto run_leg = [&status_mutex](EntryResult &slot,
+                                       ScenarioResult &out,
+                                       ScenarioConfig config) {
+            try {
+                out = run_scenario(config);
+            } catch (const SimError &e) {
+                std::lock_guard<std::mutex> lock(status_mutex);
+                slot.status = EntryStatus::Failed;
+                slot.leg_errors.push_back(e.what());
+                if (slot.error.empty())
+                    slot.error = e.what();
             }
         };
 
@@ -463,9 +444,7 @@ to_json(const ScenarioConfig &config)
             oc.set("balloon_step", config.overcommit.balloon_step);
             oc.set("backoff_initial", config.overcommit.backoff_initial);
             oc.set("backoff_max", config.overcommit.backoff_max);
-            oc.set("victim_policy", config.overcommit.victim_policy);
             oc.set("oom_kill_enabled", config.overcommit.oom_kill_enabled);
-            oc.set("protect_primary", config.overcommit.protect_primary);
             j.set("overcommit", std::move(oc));
         }
         if (config.churn.armed()) {

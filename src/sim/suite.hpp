@@ -59,7 +59,7 @@ struct SuiteEntry {
 /// Terminal state of one entry after run().
 enum class EntryStatus {
     Ok,      ///< every leg completed
-    Failed,  ///< a leg threw SimError (after exhausting retries)
+    Failed,  ///< a leg threw SimError
 };
 
 /// Outcome of one entry; `single` or `paired` is filled per `kind`.
@@ -68,12 +68,10 @@ struct EntryResult {
     ScenarioResult single;
     PairedResult paired;
     EntryStatus status = EntryStatus::Ok;
-    std::string error;      ///< first SimError message when Failed
-    unsigned attempts = 0;  ///< run_scenario calls spent on this entry
-    /// Every failed attempt's SimError message, in occurrence order —
-    /// retried-then-succeeded legs leave their history here too, so a
-    /// flaky entry is distinguishable from a clean one.
-    std::vector<std::string> attempt_errors;
+    std::string error;  ///< first SimError message when Failed
+    /// Every failed leg's SimError message, in occurrence order (both
+    /// legs of a paired entry can fail).
+    std::vector<std::string> leg_errors;
 
     bool is_paired() const { return entry.kind == RunKind::Paired; }
     bool failed() const { return status == EntryStatus::Failed; }
@@ -97,7 +95,6 @@ struct EntryResult {
 /// Everything a suite run produced, in registration order.
 class SuiteResult {
   public:
-    const std::string &suite_name() const { return suite_name_; }
     /// Worker threads the run used (for provenance in reports).
     unsigned threads() const { return threads_; }
 
@@ -139,10 +136,6 @@ struct SuiteOptions {
     bool write_json = true;      ///< emit BENCH_<suite>.json after the run
     std::string json_dir;        ///< see SuiteResult::write_json
     bool announce = true;        ///< one-line progress note on stderr
-    /// Extra run_scenario attempts per leg after a SimError before the
-    /// entry is marked Failed. Retries are deterministic re-runs: useful
-    /// when a probabilistic FaultPlan made the failure seed-dependent.
-    unsigned retries = 0;
 };
 
 class ExperimentSuite {
@@ -188,11 +181,11 @@ class ExperimentSuite {
      * Execute every registered scenario on a thread pool. Reentrant:
      * entries are not consumed, so a suite can be run repeatedly.
      *
-     * Crash isolation: a leg that throws SimError is retried up to
-     * options.retries times, then its entry is marked EntryStatus::Failed
-     * with the error recorded — sibling entries run to completion
-     * unaffected and run() still returns (and writes JSON) normally.
-     * Only non-SimError exceptions (simulator bugs) propagate.
+     * Crash isolation: a leg that throws SimError marks its entry
+     * EntryStatus::Failed with the error recorded — sibling entries run
+     * to completion unaffected and run() still returns (and writes JSON)
+     * normally. Only non-SimError exceptions (simulator bugs) propagate.
+     * A leg is a deterministic simulation, so it is never re-run.
      */
     SuiteResult run(const SuiteOptions &options = {}) const;
 

@@ -61,7 +61,7 @@ class System::JobWorkloadContext final : public workload::WorkloadContext {
 };
 
 System::System(const PlatformConfig &config, unsigned num_cores)
-    : config_(config), rng_(config.seed)
+    : config_(config)
 {
     host_ = std::make_unique<host::HostKernel>(config_.host_frames,
                                                config_.host_costs);
@@ -75,7 +75,7 @@ System::System(const PlatformConfig &config, unsigned num_cores)
     boot_slot(config_.guest_frames, /*churn_booted=*/false);
 
     hierarchy_ = std::make_unique<cache::MemoryHierarchy>(
-        config_.hierarchy, num_cores, &rng_);
+        config_.hierarchy, num_cores);
 
     // Wire every component into the stat registry up front; jobs add
     // their per-core subtrees as they are created. Registration is
@@ -234,20 +234,11 @@ System::set_overcommit(const OvercommitPolicy &policy)
         ptm_fatal("overcommit policy already armed");
     if (!policy.armed())
         return;
-    if (policy.victim_policy != "largest_backed" &&
-        policy.victim_policy != "lowest_index" &&
-        policy.victim_policy != "youngest") {
-        ptm_fatal("unknown OOM victim policy '%s' (largest_backed, "
-                  "lowest_index, youngest)",
-                  policy.victim_policy.c_str());
-    }
     if (policy.high_watermark_frames < policy.low_watermark_frames)
         ptm_fatal("overcommit high watermark below the low watermark");
     overcommit_ = policy;
     backoff_ = overcommit_.backoff_initial;
     next_sweep_tick_ = 0;
-    if (overcommit_.protect_primary && !slots_.empty())
-        slots_[0]->oom_protected = true;
     register_overcommit_stats();
 }
 
@@ -478,27 +469,19 @@ System::reclaim_daemon_tick()
 int
 System::choose_oom_victim(unsigned faulting_index) const
 {
-    int best = -1;
+    // The VM backing the most host frames, lowest index on ties.
+    const VmSlot *best = nullptr;
     for (const auto &slot : slots_) {
         const VmSlot &s = *slot;
-        // Never the faulting VM: its walker is mid-descent in its own
-        // host page table.
-        if (!s.alive || s.oom_protected || s.index == faulting_index)
+        // Never VM 0 (the measured victim's VM), and never the faulting
+        // VM: its walker is mid-descent in its own host page table.
+        if (!s.alive || s.index == 0 || s.index == faulting_index)
             continue;
-        if (best < 0) {
-            best = static_cast<int>(s.index);
-            continue;
-        }
-        const VmSlot &b = *slots_[static_cast<unsigned>(best)];
-        if (overcommit_.victim_policy == "largest_backed") {
-            if (s.vm->backed_pages() > b.vm->backed_pages())
-                best = static_cast<int>(s.index);
-        } else if (overcommit_.victim_policy == "youngest") {
-            best = static_cast<int>(s.index);  // higher index == younger
-        }
-        // "lowest_index": keep the first candidate.
+        if (best == nullptr ||
+            s.vm->backed_pages() > best->vm->backed_pages())
+            best = &s;
     }
-    return best;
+    return best == nullptr ? -1 : static_cast<int>(best->index);
 }
 
 mmu::FaultOutcome
@@ -522,7 +505,7 @@ System::handle_host_fault(VmSlot &slot, std::uint64_t gfn)
     if (out.ok)
         return out;
 
-    // Rung 2: OOM-kill policy-chosen victims until the fault succeeds or
+    // Rung 2: OOM-kill the largest VMs until the fault succeeds or
     // no candidate remains. The kill is recorded in the victim's slot —
     // the run itself survives.
     while (overcommit_.oom_kill_enabled) {
@@ -630,11 +613,6 @@ System::churn_tick()
 void
 System::step(Job &job)
 {
-    if (functional_mode_) {
-        step_functional(job);
-        return;
-    }
-
     if (job.finished_ || job.paused_)
         return;
 
@@ -691,106 +669,6 @@ System::step(Job &job)
              {"walk_cycles", trans.walk_cycles},
              {"faulted", static_cast<std::uint64_t>(trans.faulted)}});
     }
-}
-
-void
-System::ensure_backed(VmSlot &slot, std::uint64_t gfn)
-{
-    // The walker's host leg, reduced to its mapping-state effect: a
-    // radix host walk is complete-and-present iff lookup() returns a
-    // present entry (the same holds for the hashed table — its probe
-    // bound makes lookup and walk agree on absence), and the only
-    // mapping-state side effect of a host walk is the lazy-backing
-    // fault taken on a missing leaf. Nested-TLB/PWC hits in the
-    // detailed run never hide a fault here: a cached translation was
-    // walked before, and single-VM replay scenarios (the only ones
-    // fast-forward supports) never unback a frame afterwards.
-    for (;;) {
-        std::optional<pt::Pte> pte = slot.host_ctx.page_table->lookup(gfn);
-        if (pte && pte->present())
-            return;
-        mmu::FaultOutcome fault = slot.host_ctx.fault_handler(gfn);
-        if (!fault.ok) {
-            ptm_throw("host kernel cannot back guest frame %llu "
-                      "(host OOM)",
-                      static_cast<unsigned long long>(gfn));
-        }
-    }
-}
-
-void
-System::step_functional(Job &job)
-{
-    if (job.finished_ || job.paused_)
-        return;
-
-    std::optional<workload::MemOp> op =
-        job.workload_->next(*job.workload_ctx_);
-    if (!op) {
-        job.finished_ = true;
-        return;
-    }
-
-    if (op->write && job.cow_possible_) {
-        job.slot_->guest->handle_write(*job.process_,
-                                       page_number(op->gva));
-    }
-
-    const std::uint64_t gvpn = page_number(op->gva);
-    pt::TranslationTable &gpt = job.process_->page_table();
-    VmSlot &slot = *job.slot_;
-
-    // Fast path: the data page is mapped in both dimensions. Safe to
-    // skip the node-frame checks because the op that installed the
-    // guest leaf ran the slow path below, which host-backed every
-    // guest-PT node frame on the path — and nothing unbacks frames in
-    // the scenarios functional mode supports.
-    bool mapped = false;
-    if (std::optional<pt::Pte> leaf = gpt.lookup(gvpn);
-        leaf && leaf->present()) {
-        std::optional<pt::Pte> host =
-            slot.host_ctx.page_table->lookup(leaf->frame());
-        mapped = host && host->present();
-    }
-
-    if (!mapped) {
-        // Slow path: replay the detailed walker's fault order exactly —
-        // per guest walk step, host-back the node frame, then check the
-        // entry (guest fault and retry on a non-present one); finally
-        // host-back the data page. Fault order decides allocation
-        // order, so this is what keeps the mapping state bit-identical
-        // to a detailed run's.
-        pt::WalkSteps steps;
-        for (;;) {
-            pt::WalkResult walk = gpt.walk(gvpn, steps);
-            bool faulted = false;
-            for (unsigned i = 0; i < walk.steps; ++i) {
-                ensure_backed(slot, steps[i].node_frame);
-                if (!steps[i].pte.present()) {
-                    mmu::FaultOutcome fault =
-                        job.guest_ctx_.fault_handler(gvpn);
-                    if (!fault.ok) {
-                        ptm_throw("guest kernel cannot satisfy page "
-                                  "fault on gvpn %llu (guest OOM)",
-                                  static_cast<unsigned long long>(gvpn));
-                    }
-                    faulted = true;
-                    break;
-                }
-            }
-            if (faulted)
-                continue;  // retry against the new PT state
-            ensure_backed(slot, steps[walk.steps - 1].pte.frame());
-            break;
-        }
-    }
-
-    // Only the op clocks advance: job ops drive the scenario phase
-    // loops, total_steps_ the throughput denominator. Cycle and access
-    // counters stay untouched — they are Measurement-scoped and reset
-    // at the detailed handover anyway.
-    ++total_steps_;
-    job.stats_.ops.inc();
 }
 
 void

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "cache/hierarchy.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "host/host_kernel.hpp"
 #include "mmu/nested_walker.hpp"
@@ -71,7 +70,6 @@ struct VmSlot {
     core::PtemagnetProvider *ptemagnet = nullptr;
     std::string prefix;              ///< registry namespace ("vm<K>")
     bool alive = true;
-    bool oom_protected = false;      ///< never chosen by the OOM-killer
     bool churn_booted = false;       ///< booted by the churn engine
     /// EntryStatus-style degradation record: "alive", "oom_killed",
     /// "churn_killed".
@@ -183,7 +181,6 @@ class System {
     /// to set_policy("ptemagnet", {{"group_pages", ...}}).
     /// @param group_pages reservation granularity (ablation knob).
     void enable_ptemagnet(unsigned group_pages = kPagesPerReservation);
-    bool ptemagnet_enabled() const { return ptemagnet(0) != nullptr; }
 
     /**
      * Arm deterministic fault injection: hand @p injector's gates to the
@@ -201,15 +198,7 @@ class System {
      * "host.overcommit".
      */
     void set_overcommit(const OvercommitPolicy &policy);
-    bool overcommit_armed() const { return overcommit_.armed(); }
     const OvercommitStats &overcommit_stats() const { return ocstats_; }
-
-    /// Exclude / include VM @p index as an OOM-kill candidate.
-    void
-    set_oom_protected(unsigned index, bool protect)
-    {
-        slot_at(index).oom_protected = protect;
-    }
 
     /**
      * Install the seeded churn schedule (call at most once, before
@@ -280,29 +269,13 @@ class System {
      * workload, break COW on writes once the process has forked,
      * translate, log a retired write walk to the dirty ring, access the
      * data line, charge the job's counters, and emit a trace event when a
-     * sink is armed. In functional mode it runs step_functional().
+     * sink is armed.
      */
     void step(Job &job);
 
-    // ---- functional fast-forward (replay init phases) ---------------
-    //
-    // In functional mode step() applies each operation's *mapping-state*
-    // effects only: COW breaks, guest page faults, and host lazy backing
-    // run through the same kernel paths in the same order as a detailed
-    // run, but no TLB, cache, or cycle state is touched. The scenario
-    // runner uses it to fast-forward a .ptt replay through its recorded
-    // warmup/init phases and drop into the detailed model at the
-    // init-end marker (ScenarioConfig::replay_fast_forward); see
-    // step_functional() for why the resulting mapping state is
-    // bit-identical to a detailed run's.
-
-    /// Enter/leave functional mode (affects step() and run_until()).
-    void set_functional_mode(bool on) { functional_mode_ = on; }
-    bool functional_mode() const { return functional_mode_; }
-
     /// Flush every core's translation caches and the whole cache
-    /// hierarchy: the cold-start state both a fast-forwarded and a
-    /// cold_measurement run measure from.
+    /// hierarchy: the cold-start state a cold_measurement run measures
+    /// from.
     void flush_microarch();
 
     /**
@@ -453,12 +426,6 @@ class System {
     void churn_kill();
     void churn_fork();
 
-    /// One functional-mode operation: mapping-state effects only.
-    void step_functional(Job &job);
-    /// Make guest frame @p gfn host-backed, taking host faults through
-    /// the slot's handler exactly as the walker would.
-    void ensure_backed(VmSlot &slot, std::uint64_t gfn);
-
     // FaultHook trampolines (bound once per VM slot / per job; see
     // mmu::FaultHook).
     static mmu::FaultOutcome host_fault_thunk(void *ctx,
@@ -467,7 +434,6 @@ class System {
                                                std::uint64_t gvpn);
 
     PlatformConfig config_;
-    Rng rng_;
     std::unique_ptr<host::HostKernel> host_;
     /// Stable-address slots, VM 0 first; never shrinks.
     std::vector<std::unique_ptr<VmSlot>> slots_;
@@ -476,7 +442,6 @@ class System {
     obs::StatRegistry registry_;
     obs::TraceSink *trace_ = nullptr;      ///< normally unarmed
     FaultInjector *injector_ = nullptr;    ///< normally unarmed
-    bool functional_mode_ = false;
     /// Never registered: survives reset_measurement() as the denominator
     /// of the simulator-throughput metric.
     std::uint64_t total_steps_ = 0;

@@ -39,15 +39,6 @@ struct AssocStats {
     Counter hits;
     Counter misses;
     Counter evictions;
-
-    double
-    hit_rate() const
-    {
-        std::uint64_t total = hits.value() + misses.value();
-        return total ? static_cast<double>(hits.value()) /
-                       static_cast<double>(total)
-                     : 0.0;
-    }
 };
 
 /**

@@ -110,7 +110,6 @@ GuestKernel::handle_fault(Process &proc, std::uint64_t gvpn)
     }
 
     stats_.faults_handled.inc();
-    proc.stats().page_faults.inc();
 
     AllocOutcome alloc = provider_->allocate_page(proc, gvpn);
     if (!alloc.ok) {
@@ -170,7 +169,6 @@ GuestKernel::handle_write(Process &proc, std::uint64_t gvpn)
         return 0;
 
     stats_.write_faults.inc();
-    proc.stats().cow_breaks.inc();
     std::uint64_t gfn = pte->frame();
 
     auto shared = shared_frames_.find(gfn);
@@ -245,7 +243,6 @@ GuestKernel::unmap_one(Process &proc, std::uint64_t gvpn, pt::Pte pte)
     std::uint64_t gfn = pte.frame();
     proc.page_table().unmap(gvpn);
     proc.add_rss(-1);
-    proc.stats().pages_freed.inc();
     stats_.pages_freed.inc();
     invalidate_translation(proc, gvpn);
 

@@ -213,15 +213,6 @@ class GuestKernel {
     std::function<void(std::int32_t pid, std::uint64_t gvpn)>
         on_translation_invalidated;
 
-    /// Iterate over all live processes (metric collection).
-    template <typename Fn>
-    void
-    for_each_process(Fn &&fn)
-    {
-        for (auto &[pid, proc] : processes_)
-            fn(*proc);
-    }
-
   private:
     pt::FrameSource pt_frame_source(std::int32_t pid);
     void unmap_one(Process &proc, std::uint64_t gvpn, pt::Pte pte);

@@ -9,20 +9,12 @@
 #include <memory>
 #include <string>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "pt/page_table.hpp"
 #include "pt/translation_table.hpp"
 #include "vm/virtual_address_space.hpp"
 
 namespace ptm::vm {
-
-/// Per-process activity counters.
-struct ProcessStats {
-    Counter page_faults;
-    Counter cow_breaks;
-    Counter pages_freed;
-};
 
 class Process {
   public:
@@ -54,9 +46,6 @@ class Process {
     Addr memory_limit_bytes() const { return memory_limit_bytes_; }
     void set_memory_limit_bytes(Addr limit) { memory_limit_bytes_ = limit; }
 
-    ProcessStats &stats() { return stats_; }
-    const ProcessStats &stats() const { return stats_; }
-
   private:
     std::int32_t pid_;
     std::string name_;
@@ -65,7 +54,6 @@ class Process {
     VirtualAddressSpace vas_;
     std::unique_ptr<pt::TranslationTable> page_table_;
     std::uint64_t rss_pages_ = 0;
-    ProcessStats stats_;
 };
 
 }  // namespace ptm::vm

@@ -322,7 +322,8 @@ TEST(SuiteIsolationTest, FailedEntryLeavesSiblingsBitIdentical)
     EXPECT_EQ(doomed.status, EntryStatus::Failed);
     EXPECT_NE(doomed.error.find("OOM"), std::string::npos)
         << doomed.error;
-    EXPECT_EQ(doomed.attempts, 1u);
+    ASSERT_EQ(doomed.leg_errors.size(), 1u);
+    EXPECT_EQ(doomed.leg_errors.front(), doomed.error);
     EXPECT_EQ(failed_run.failed_count(), 1u);
 
     // Siblings are untouched by the failure.
@@ -338,20 +339,6 @@ TEST(SuiteIsolationTest, FailedEntryLeavesSiblingsBitIdentical)
     // Failed entries drop out of the summary statistics.
     EXPECT_EQ(failed_run.improvements().size(), 1u);
     EXPECT_EQ(failed_run.geomean(), control_run.geomean());
-}
-
-TEST(SuiteIsolationTest, RetriesAreCountedAndDeterministicallyFutile)
-{
-    ExperimentSuite suite("retry");
-    suite.add("doomed", doomed_config(), RunKind::Single);
-
-    SuiteOptions options = quiet(2);
-    options.retries = 2;
-    SuiteResult result = suite.run(options);
-
-    const EntryResult &entry = result.at("doomed");
-    EXPECT_TRUE(entry.failed());
-    EXPECT_EQ(entry.attempts, 3u);  // 1 try + 2 retries
 }
 
 TEST(SuiteIsolationTest, ArmedSuiteIsBitIdenticalAcrossThreadCounts)

@@ -28,9 +28,9 @@ class WalkerTest : public ::testing::Test {
     tiny_hierarchy()
     {
         cache::HierarchyConfig config;
-        config.l1 = {"L1D", 1024, 2, cache::ReplacementKind::Lru};
-        config.l2 = {"L2", 4096, 4, cache::ReplacementKind::Lru};
-        config.llc = {"LLC", 16384, 4, cache::ReplacementKind::Lru};
+        config.l1 = {"L1D", 1024, 2};
+        config.l2 = {"L2", 4096, 4};
+        config.llc = {"LLC", 16384, 4};
         return config;
     }
 

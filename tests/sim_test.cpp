@@ -172,6 +172,32 @@ TEST(SystemTest, Table1ProtocolShowsFragmentationSlowdown)
               standalone.metrics.get("tlb_misses"));
 }
 
+TEST(SystemTest, ColdMeasurementFlushesOnlyMicroarchState)
+{
+    // cold_measurement flushes TLBs, PWCs, nested TLBs and caches at the
+    // init/measure boundary: the mapping state the run builds is the
+    // warm run's, but the measured window starts from empty TLBs. gcc's
+    // hot set fits the TLBs, so its warm window takes no TLB miss.
+    ScenarioConfig config = small_scenario("gcc", true);
+    config.measure_ops = 20'000;
+    ScenarioResult warm = run_scenario(config);
+    ScenarioResult cold =
+        run_scenario(ScenarioConfig(config).with_cold_measurement());
+
+    EXPECT_EQ(cold.victim_ops, warm.victim_ops);
+    EXPECT_EQ(cold.victim_rss_pages, warm.victim_rss_pages);
+    EXPECT_EQ(cold.fragmentation.average_hpte_lines,
+              warm.fragmentation.average_hpte_lines);
+    EXPECT_EQ(cold.fragmentation.fragmented_fraction,
+              warm.fragmentation.fragmented_fraction);
+    EXPECT_EQ(cold.buddy_calls, warm.buddy_calls);
+    EXPECT_EQ(cold.reservations_created, warm.reservations_created);
+    EXPECT_GT(warm.reservations_created, 0u);
+    // The victim walker's TLB misses in the measured window.
+    EXPECT_GT(cold.metrics.get("tlb_misses"),
+              warm.metrics.get("tlb_misses"));
+}
+
 TEST(SystemTest, ForkedJobSharesThenDiverges)
 {
     System system(small_platform(), 2);
