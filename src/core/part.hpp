@@ -137,7 +137,6 @@ class Part {
     const PartStats &stats() const { return stats_; }
 
     unsigned pages_per_group() const { return pages_per_group_; }
-    std::uint32_t full_mask() const { return full_mask_; }
 
   private:
     std::unique_ptr<Node> root_;

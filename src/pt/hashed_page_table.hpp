@@ -65,10 +65,6 @@ class HashedPageTable final : public TranslationTable {
 
     /// Live translations (diagnostics / tests).
     std::uint64_t entry_count() const { return occupied_; }
-    std::uint64_t slot_count() const
-    {
-        return static_cast<std::uint64_t>(slots_.size());
-    }
 
   private:
     enum class SlotState : std::uint8_t { Empty, Occupied, Tombstone };

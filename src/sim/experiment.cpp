@@ -137,9 +137,7 @@ run_scenario(const ScenarioConfig &config)
     //  - replay: decode the trace stream for this job index;
     //  - record: the real generator wrapped in a recorder (raw pointers
     //    collected so the trace can be written after the run);
-    //  - otherwise: the StreamCache memo of the generator's stream (the
-    //    second leg of a paired run and repeated suite legs decode
-    //    instead of regenerating), or the bare generator when disabled.
+    //  - otherwise: the generator itself.
     std::vector<const workload::RecordingWorkload *> recorders;
     auto job_workload = [&](const std::string &name,
                             const workload::WorkloadOptions &opt,
@@ -153,14 +151,12 @@ run_scenario(const ScenarioConfig &config)
             recorders.push_back(rec.get());
             return rec;
         }
-        if (workload::StreamCache::enabled())
-            return workload::StreamCache::instance().replay(name, opt);
         return workload::make_workload(name, opt);
     };
 
     // Only the victim sees the config's workload knobs; co-runners keep
-    // their registered defaults (their streams — and StreamCache keys —
-    // stay identical across victim-param sweeps).
+    // their registered defaults (their streams stay identical across
+    // victim-param sweeps).
     workload::WorkloadOptions victim_options = options;
     victim_options.params = config.workload_params;
     Job &victim =

@@ -18,8 +18,9 @@
  *     print_improvement_table(result);
  *
  * run() executes every scenario leg (two legs per Paired entry: buddy
- * baseline and PTEMagnet) concurrently on a thread pool — `System`s
- * share no mutable state, so results are bit-identical to a serial run —
+ * baseline and PTEMagnet) concurrently on a thread pool — each leg
+ * builds its own `System` and runs its own workload generators, so legs
+ * share no mutable state and results are bit-identical to a serial run —
  * and writes `BENCH_<suite>.json` with the full machine-readable result
  * set so the repo's perf trajectory can be tracked by tools.
  *

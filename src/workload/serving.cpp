@@ -123,16 +123,6 @@ KvTierWorkload::setup(WorkloadContext &ctx)
     conn_requests_.assign(connections_, 0);
 }
 
-bool
-KvTierWorkload::churn_due() const
-{
-    if (requests_per_conn_churn_ == 0)
-        return false;
-    const auto conn =
-        static_cast<unsigned>(request_seq_ % connections_);
-    return conn_requests_[conn] >= requests_per_conn_churn_;
-}
-
 void
 KvTierWorkload::start_request(WorkloadContext &ctx)
 {
@@ -198,24 +188,6 @@ KvTierWorkload::next(WorkloadContext &ctx)
     return burst_[burst_pos_++];
 }
 
-unsigned
-KvTierWorkload::next_batch(WorkloadContext &ctx, MemOp *out, unsigned max)
-{
-    unsigned n = 0;
-    while (n < max) {
-        // A request boundary with a churn pending would interact with
-        // the context mid-batch: end the batch first.
-        if (!initializing_ && n > 0 && burst_pos_ >= burst_.size() &&
-            churn_due())
-            break;
-        std::optional<MemOp> op = next(ctx);
-        if (!op)
-            break;
-        out[n++] = *op;
-    }
-    return n;
-}
-
 // ---------------------------------------------------------------------
 // fork_storm
 
@@ -255,8 +227,7 @@ void
 ForkStormWorkload::start_request(WorkloadContext &ctx)
 {
     // The previous request's arena dies when the next request arrives,
-    // not at the end of the old one: both interactions then sit at the
-    // first op of the new request, where the batch contract allows them.
+    // not at the end of the old one.
     if (arena_base_ != 0)
         ctx.munmap(arena_base_);
     arena_base_ = ctx.mmap(arena_bytes_);
@@ -310,24 +281,6 @@ ForkStormWorkload::next(WorkloadContext &ctx)
     --ops_left_in_request_;
     ++ops_done_;
     return request_op();
-}
-
-unsigned
-ForkStormWorkload::next_batch(WorkloadContext &ctx, MemOp *out,
-                              unsigned max)
-{
-    unsigned n = 0;
-    while (n < max) {
-        // Every request boundary remaps the arena: end the batch before
-        // one that is not the batch's first op.
-        if (!initializing_ && n > 0 && ops_left_in_request_ == 0)
-            break;
-        std::optional<MemOp> op = next(ctx);
-        if (!op)
-            break;
-        out[n++] = *op;
-    }
-    return n;
 }
 
 // ---------------------------------------------------------------------
@@ -387,21 +340,6 @@ WsEstimateWorkload::next(WorkloadContext &)
     MemOp op = compute_op();
     ++ops_done_;
     return op;
-}
-
-unsigned
-WsEstimateWorkload::next_batch(WorkloadContext &ctx, MemOp *out,
-                               unsigned max)
-{
-    // No context interactions after setup: batch freely.
-    unsigned n = 0;
-    while (n < max) {
-        std::optional<MemOp> op = next(ctx);
-        if (!op)
-            break;
-        out[n++] = *op;
-    }
-    return n;
 }
 
 // ---------------------------------------------------------------------

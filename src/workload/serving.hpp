@@ -82,14 +82,11 @@ class KvTierWorkload final : public Workload {
 
     void setup(WorkloadContext &ctx) override;
     std::optional<MemOp> next(WorkloadContext &ctx) override;
-    unsigned next_batch(WorkloadContext &ctx, MemOp *out,
-                        unsigned max) override;
     bool in_init_phase() const override { return initializing_; }
     std::string name() const override { return name_; }
     Addr static_footprint() const override;
 
   private:
-    bool churn_due() const;
     void start_request(WorkloadContext &ctx);
 
     std::string name_;
@@ -142,8 +139,6 @@ class ForkStormWorkload final : public Workload {
 
     void setup(WorkloadContext &ctx) override;
     std::optional<MemOp> next(WorkloadContext &ctx) override;
-    unsigned next_batch(WorkloadContext &ctx, MemOp *out,
-                        unsigned max) override;
     bool in_init_phase() const override { return initializing_; }
     std::string name() const override { return name_; }
     Addr static_footprint() const override;
@@ -179,8 +174,7 @@ class ForkStormWorkload final : public Workload {
  * hot_pages pages that rotates through the heap every shift_every ops,
  * with the rest uniform. The dirty ring's per-epoch distinct-dirty-page
  * count should track hot_pages (plus the uniform tail) and move when the
- * window shifts. No context interactions after setup, so it batches
- * fully — the disarmed hot path stays on the fast dispatch.
+ * window shifts.
  *
  * WorkloadParams knobs: heap_mb, hot_pages, shift_every, write_fraction,
  * hot_fraction.
@@ -191,8 +185,6 @@ class WsEstimateWorkload final : public Workload {
 
     void setup(WorkloadContext &ctx) override;
     std::optional<MemOp> next(WorkloadContext &ctx) override;
-    unsigned next_batch(WorkloadContext &ctx, MemOp *out,
-                        unsigned max) override;
     bool in_init_phase() const override { return initializing_; }
     std::string name() const override { return name_; }
     Addr static_footprint() const override { return heap_bytes_; }

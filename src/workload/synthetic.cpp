@@ -143,32 +143,4 @@ SyntheticWorkload::next(WorkloadContext &ctx)
     return op;
 }
 
-unsigned
-SyntheticWorkload::next_batch(WorkloadContext &ctx, MemOp *out,
-                              unsigned max)
-{
-    // Each op is produced by the real next(), so the stream is serial-
-    // identical by construction; the only batching logic is the guard
-    // that predicts whether the NEXT op would start a churn episode —
-    // the single op kind that calls into the context (munmap + mmap) —
-    // and ends the batch first, honouring the interactions-only-at-
-    // batch-head contract.
-    unsigned n = 0;
-    while (n < max) {
-        if (!initializing_) {
-            if (total_ops_ != 0 && ops_done_ >= total_ops_)
-                break;  // n == 0 here means "finished", like next()
-            if (n > 0 && repeats_left_ == 0 && churn_.chunk_bytes != 0 &&
-                !touching_chunk_ &&
-                (bindings_.empty() || pattern_ops_until_churn_ == 0))
-                break;  // episode start needs ctx: defer to next batch
-        }
-        std::optional<MemOp> op = next(ctx);
-        if (!op)
-            break;
-        out[n++] = *op;
-    }
-    return n;
-}
-
 }  // namespace ptm::workload

@@ -64,11 +64,6 @@ class SyntheticWorkload final : public Workload {
     // Workload interface.
     void setup(WorkloadContext &ctx) override;
     std::optional<MemOp> next(WorkloadContext &ctx) override;
-    /// Real batching: mirrors next() state-for-state (RNG call order
-    /// included) and stops before any op past the first that would start
-    /// a churn episode (the only ctx-interacting op kind).
-    unsigned next_batch(WorkloadContext &ctx, MemOp *out,
-                        unsigned max) override;
     bool in_init_phase() const override { return initializing_; }
     std::string name() const override { return name_; }
 

@@ -1,7 +1,6 @@
 #include "workload/trace.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -31,14 +30,14 @@ get_varint(const std::uint8_t *data, std::size_t len, std::size_t &offset)
     unsigned shift = 0;
     for (;;) {
         if (offset >= len)
-            ptm_fatal("trace stream truncated mid-varint");
+            ptm_throw("trace stream truncated mid-varint");
         std::uint8_t byte = data[offset++];
         v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
         if ((byte & 0x80) == 0)
             return v;
         shift += 7;
         if (shift >= 64)
-            ptm_fatal("trace varint overflows 64 bits");
+            ptm_throw("trace varint overflows 64 bits");
     }
 }
 
@@ -116,7 +115,7 @@ apply_interaction(const std::uint8_t *data, std::size_t len,
         // allocation); a mismatch means the replay context diverged from
         // the recorded one and every later gva would be wrong.
         if (base != recorded_base) {
-            ptm_fatal("trace replay mmap divergence: recorded base %llx, "
+            ptm_throw("trace replay mmap divergence: recorded base %llx, "
                       "got %llx",
                       static_cast<unsigned long long>(recorded_base),
                       static_cast<unsigned long long>(base));
@@ -130,7 +129,7 @@ apply_interaction(const std::uint8_t *data, std::size_t len,
         ctx.free_page(ptt::get_varint(data, len, offset));
         return;
       default:
-        ptm_fatal("trace stream: unexpected opcode %u as interaction",
+        ptm_throw("trace stream: unexpected opcode %u as interaction",
                   opcode);
     }
 }
@@ -145,7 +144,6 @@ decode_setup(const std::uint8_t *data, std::size_t len, DecodeState &state,
         std::uint8_t opcode = data[state.offset];
         if (opcode == ptt::kSetupEnd) {
             ++state.offset;
-            state.setup_done = true;
             // A workload that starts outside its init phase records the
             // boundary immediately after setup.
             if (state.offset < len && data[state.offset] == ptt::kInitEnd) {
@@ -156,7 +154,7 @@ decode_setup(const std::uint8_t *data, std::size_t len, DecodeState &state,
         }
         apply_interaction(data, len, state.offset, ctx);
     }
-    ptm_fatal("trace stream ends before its setup section does");
+    ptm_throw("trace stream ends before its setup section does");
 }
 
 unsigned
@@ -184,9 +182,8 @@ decode_ops(const std::uint8_t *data, std::size_t len, DecodeState &state,
           case ptt::kMmap:
           case ptt::kMunmap:
           case ptt::kFreePage:
-            // Batch-transparency contract: interactions may only happen
-            // while the first op of a batch is generated. A later one
-            // ends this batch; the next call applies it first.
+            // An interaction after this call's first op ends the call;
+            // the next call applies it before its first op.
             if (produced > 0)
                 return produced;
             apply_interaction(data, len, state.offset, ctx);
@@ -203,10 +200,10 @@ decode_ops(const std::uint8_t *data, std::size_t len, DecodeState &state,
             state.finished = true;
             break;
           default:
-            ptm_fatal("trace stream: unknown opcode %u", opcode);
+            ptm_throw("trace stream: unknown opcode %u", opcode);
         }
     }
-    // A kInitEnd sitting right past the last op of a full batch must be
+    // A kInitEnd sitting right past the last op of a full call must be
     // taken now: the recorded run flipped the phase during the call that
     // produced that op, and the scheduler may look before the next call.
     if (!state.finished && state.offset < len &&
@@ -299,25 +296,6 @@ RecordingWorkload::next(WorkloadContext &ctx)
     return op;
 }
 
-unsigned
-RecordingWorkload::next_batch(WorkloadContext &ctx, MemOp *out,
-                              unsigned max)
-{
-    RecordingContext rc(ctx, enc_);
-    unsigned n = inner_->next_batch(rc, out, max);
-    if (n == 0) {
-        if (!eos_recorded_) {
-            enc_.eos();
-            eos_recorded_ = true;
-        }
-        return 0;
-    }
-    for (unsigned i = 0; i < n; ++i)
-        enc_.op(out[i]);
-    note_init_phase();
-    return n;
-}
-
 // ---- TraceFile ---------------------------------------------------------
 
 TraceFile
@@ -349,18 +327,20 @@ TraceFile::load(const std::string &path)
     for (std::uint64_t j = 0; j < jobs; ++j) {
         std::uint64_t name_len =
             ptt::get_varint(blob.data(), blob.size(), offset);
-        if (offset + name_len > blob.size())
+        // Lengths are checked against the bytes left: offset + length
+        // would wrap for a length near 2^64.
+        if (name_len > blob.size() - offset)
             ptm_throw("trace %s: truncated job name", path.c_str());
         JobStream stream;
-        stream.name.assign(reinterpret_cast<const char *>(&blob[offset]),
-                           name_len);
+        stream.name.assign(
+            reinterpret_cast<const char *>(blob.data() + offset), name_len);
         offset += name_len;
         lengths.push_back(
             ptt::get_varint(blob.data(), blob.size(), offset));
         trace.jobs_.push_back(std::move(stream));
     }
     for (std::uint64_t j = 0; j < jobs; ++j) {
-        if (offset + lengths[j] > blob.size())
+        if (lengths[j] > blob.size() - offset)
             ptm_throw("trace %s: truncated stream for job %llu",
                       path.c_str(), static_cast<unsigned long long>(j));
         trace.jobs_[j].bytes.assign(blob.begin() + offset,
@@ -425,23 +405,15 @@ class TraceReplayWorkload final : public Workload {
     next(WorkloadContext &ctx) override
     {
         MemOp op;
-        if (next_batch(ctx, &op, 1) == 0)
-            return std::nullopt;
-        return op;
-    }
-
-    unsigned
-    next_batch(WorkloadContext &ctx, MemOp *out, unsigned max) override
-    {
-        unsigned n = decode_ops(stream_->bytes.data(),
-                                stream_->bytes.size(), state_, ctx, out,
-                                max);
-        // A stream that ran dry without an explicit EOS was recorded
-        // from an infinite co-runner; the replayed job simply ends where
-        // the recording did.
-        if (n == 0)
+        if (decode_ops(stream_->bytes.data(), stream_->bytes.size(), state_,
+                       ctx, &op, 1) == 0) {
+            // A stream that ran dry without an explicit EOS was recorded
+            // from an infinite co-runner; the replayed job simply ends
+            // where the recording did.
             state_.finished = true;
-        return n;
+            return std::nullopt;
+        }
+        return op;
     }
 
     bool in_init_phase() const override { return state_.in_init; }
@@ -462,128 +434,6 @@ TraceFile::make_replayer(unsigned index) const
 
 // ---- StreamCache -------------------------------------------------------
 
-namespace {
-
-/// Context for detached generation: virtual address assignment is the
-/// only context result generators consume, and it is deterministic (the
-/// kernel's mmap is a pure VirtualAddressSpace cursor), so a private
-/// address space reproduces the exact addresses of a live run — which
-/// replay re-checks on every mmap.
-class DetachedContext final : public WorkloadContext {
-  public:
-    Addr mmap(Addr bytes) override { return vas_.mmap(bytes); }
-    void munmap(Addr base) override { vas_.munmap(base); }
-    void
-    free_page(Addr gva) override
-    {
-        (void)gva;  // physical backing does not exist here
-    }
-
-  private:
-    vm::VirtualAddressSpace vas_;
-};
-
-/// Ops decoded per lock acquisition when a consumer outruns the stream.
-constexpr unsigned kExtendOps = 32 * 1024;
-
-}  // namespace
-
-struct StreamCache::Entry {
-    std::mutex mutex;
-    RecordingWorkload rec;
-    DetachedContext dctx;
-
-    explicit Entry(std::unique_ptr<Workload> gen) : rec(std::move(gen))
-    {
-        rec.setup(dctx);
-    }
-
-    const std::vector<std::uint8_t> &
-    bytes() const
-    {
-        return rec.encoder().bytes();
-    }
-
-    /// Generate (and encode) up to @p ops more operations. Must be
-    /// called with the entry mutex held.
-    void
-    extend(unsigned ops)
-    {
-        MemOp buf[256];
-        unsigned done = 0;
-        while (done < ops) {
-            // Generate op-at-a-time while the inner workload is in its
-            // init phase: the recorder notes the phase flip after each
-            // call, so this pins kInitEnd to its exact serial position.
-            // (A 256-op recording batch would displace it by up to 255
-            // ops — across many scheduler slices — and consumers would
-            // observably leave the init phase late.)
-            unsigned want = rec.in_init_phase() ? 1 : ops - done;
-            if (want > 256)
-                want = 256;
-            unsigned n = rec.next_batch(dctx, buf, want);
-            if (n == 0)
-                return;  // finite workload ended; EOS is now encoded
-            done += n;
-        }
-    }
-};
-
-namespace {
-
-/// Replays (and lazily extends) a shared StreamCache entry.
-class CachedStreamWorkload final : public Workload {
-  public:
-    explicit CachedStreamWorkload(std::shared_ptr<StreamCache::Entry> entry)
-        : entry_(std::move(entry)), name_(entry_->rec.name())
-    {
-    }
-
-    void
-    setup(WorkloadContext &ctx) override
-    {
-        std::lock_guard<std::mutex> lock(entry_->mutex);
-        const std::vector<std::uint8_t> &bytes = entry_->bytes();
-        decode_setup(bytes.data(), bytes.size(), state_, ctx);
-    }
-
-    std::optional<MemOp>
-    next(WorkloadContext &ctx) override
-    {
-        MemOp op;
-        if (next_batch(ctx, &op, 1) == 0)
-            return std::nullopt;
-        return op;
-    }
-
-    unsigned
-    next_batch(WorkloadContext &ctx, MemOp *out, unsigned max) override
-    {
-        std::lock_guard<std::mutex> lock(entry_->mutex);
-        for (;;) {
-            const std::vector<std::uint8_t> &bytes = entry_->bytes();
-            unsigned n = decode_ops(bytes.data(), bytes.size(), state_,
-                                    ctx, out, max);
-            if (n > 0 || state_.finished)
-                return n;
-            // Ran dry ahead of every other consumer: grow the stream.
-            // Progress is guaranteed — the generator either produces ops
-            // or encodes its EOS, which the next decode consumes.
-            entry_->extend(kExtendOps);
-        }
-    }
-
-    bool in_init_phase() const override { return state_.in_init; }
-    std::string name() const override { return name_; }
-
-  private:
-    std::shared_ptr<StreamCache::Entry> entry_;
-    std::string name_;
-    DecodeState state_;
-};
-
-}  // namespace
-
 StreamCache &
 StreamCache::instance()
 {
@@ -594,45 +444,19 @@ StreamCache::instance()
 bool
 StreamCache::enabled()
 {
-    return std::getenv("PTM_NO_STREAM_MEMO") == nullptr;
+    return false;
 }
 
 std::unique_ptr<Workload>
 StreamCache::replay(const std::string &name,
                     const WorkloadOptions &options)
 {
-    // Exact key: hex-float scale avoids decimal rounding collisions.
-    // Generator params are appended only when present, so every
-    // pre-params key stays byte-identical.
-    char base[256];
-    std::snprintf(base, sizeof base, "%s|%llu|%a|%llu", name.c_str(),
-                  static_cast<unsigned long long>(options.seed),
-                  options.scale,
-                  static_cast<unsigned long long>(options.total_ops));
-    std::string key = base;
-    for (const auto &[pkey, pvalue] : options.params.entries()) {
-        char param[128];
-        std::snprintf(param, sizeof param, "|%s=%a", pkey.c_str(),
-                      pvalue);
-        key += param;
-    }
-
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        std::shared_ptr<Entry> &slot = entries_[key];
-        if (!slot)
-            slot = std::make_shared<Entry>(make_workload(name, options));
-        entry = slot;
-    }
-    return std::make_unique<CachedStreamWorkload>(std::move(entry));
+    return make_workload(name, options);
 }
 
 void
 StreamCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
 }
 
 }  // namespace ptm::workload

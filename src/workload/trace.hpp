@@ -14,26 +14,19 @@
  * zigzag-varint delta from the previous op's gva (sequential patterns
  * make most deltas one byte). Interaction operands are plain varints.
  * Events are self-delimiting and the per-job stream is a flat byte run,
- * so a .ptt file can be consumed from an mmap'd buffer as-is.
- *
- * The same encoding backs workload::StreamCache, the in-process memo of
- * generated streams keyed by (name, seed, scale, total_ops): the first
- * run of a key generates and encodes lazily; later runs (the second leg
- * of a paired run, sweep legs, repeated tests) decode instead of
- * regenerating. Disable with PTM_NO_STREAM_MEMO=1.
+ * so a .ptt file can be consumed from an mmap'd buffer as-is. A malformed
+ * stream fails its run with a SimError, whether it breaks while the file
+ * is loaded or while a job decodes it mid-run.
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
-#include "vm/virtual_address_space.hpp"
 #include "workload/workload.hpp"
 
 namespace ptm::workload {
@@ -94,14 +87,12 @@ class StreamEncoder {
     std::uint64_t prev_gva_ = 0;
 };
 
-/// Read-side position within one encoded stream. The buffer itself is
-/// passed to every decode call so the stream may grow (StreamCache) or
-/// live in a file mapping (TraceFile) without the state caring.
+/// Read-side position within one encoded stream; the buffer itself is
+/// passed to every decode call.
 struct DecodeState {
     std::size_t offset = 0;
     std::uint64_t prev_gva = 0;
     bool in_init = true;
-    bool setup_done = false;
     bool finished = false;
 };
 
@@ -109,18 +100,20 @@ struct DecodeState {
  * Apply the setup section (events before kSetupEnd) to @p ctx, plus an
  * immediately following kInitEnd if the workload recorded none of its
  * init phase.
+ * @throws SimError if the stream is malformed or has no kSetupEnd.
  */
 void decode_setup(const std::uint8_t *data, std::size_t len,
                   DecodeState &state, WorkloadContext &ctx);
 
 /**
  * Decode up to @p max ops, applying interaction events to @p ctx.
- * Honours the batch-transparency contract: interactions are applied only
- * before the first op of the call; a later interaction ends the batch.
- * kInitEnd is consumed eagerly wherever it appears (it only moves a
- * flag, and observers look between scheduler slices). Returns the op
- * count; 0 with state.finished set means end-of-stream, 0 without it
- * means the buffer ran dry (caller may extend and retry).
+ * Interactions are applied only before the first op of the call; a later
+ * interaction ends the call, and the next call applies it first. kInitEnd
+ * is consumed eagerly wherever it appears (it only moves a flag, and
+ * observers look between scheduler slices). Returns the op count; 0 with
+ * state.finished set means end-of-stream, 0 without it means the buffer
+ * ran dry.
+ * @throws SimError if the stream is malformed.
  */
 unsigned decode_ops(const std::uint8_t *data, std::size_t len,
                     DecodeState &state, WorkloadContext &ctx, MemOp *out,
@@ -128,10 +121,7 @@ unsigned decode_ops(const std::uint8_t *data, std::size_t len,
 
 /**
  * Transparent recorder: delegates to the wrapped workload while encoding
- * everything it does. Works through next() and next_batch() alike
- * (interactions can only occur while the first op of a batch is
- * generated, so appending the ops after the inner call preserves serial
- * order).
+ * everything it does, in serial order.
  */
 class RecordingWorkload final : public Workload {
   public:
@@ -140,8 +130,6 @@ class RecordingWorkload final : public Workload {
 
     void setup(WorkloadContext &ctx) override;
     std::optional<MemOp> next(WorkloadContext &ctx) override;
-    unsigned next_batch(WorkloadContext &ctx, MemOp *out,
-                        unsigned max) override;
     bool in_init_phase() const override { return inner_->in_init_phase(); }
     std::string name() const override { return inner_->name(); }
 
@@ -193,37 +181,26 @@ class TraceFile {
 };
 
 /**
- * Process-wide memo of generated workload streams. The first consumer of
- * a (name, seed, scale, total_ops) key drives a private generator (with
- * a detached VirtualAddressSpace — address assignment is deterministic,
- * and replay asserts it) and encodes its stream lazily in chunks; every
- * consumer decodes from the shared buffer. All consumers see the exact
- * serial stream, however many ops they need.
+ * The four calls the perfbench scenario program makes: enabled() is
+ * false, replay() is make_workload() and clear() does nothing, since
+ * every job runs its own generator. Keep all four out of line: an inline
+ * enabled() lets the compiler fold a branch of that program and recompile
+ * its host-speed probe, which moves every host time the benchmark
+ * rescales by it.
  */
 class StreamCache {
   public:
-    /// The singleton (process lifetime).
     static StreamCache &instance();
 
-    /// False when PTM_NO_STREAM_MEMO is set in the environment.
+    /// Always false.
     static bool enabled();
 
-    /**
-     * A workload replaying (and lazily extending) the cached stream for
-     * @p name/@p options. Equivalent to make_workload(name, options) in
-     * every observable way.
-     */
+    /// make_workload(name, options).
     std::unique_ptr<Workload> replay(const std::string &name,
                                      const WorkloadOptions &options);
 
-    /// Drop all cached streams (test hook).
+    /// Does nothing: nothing is cached.
     void clear();
-
-    struct Entry;
-
-  private:
-    std::mutex mutex_;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
 };
 
 }  // namespace ptm::workload

@@ -61,26 +61,11 @@ class Workload {
     virtual std::optional<MemOp> next(WorkloadContext &ctx) = 0;
 
     /**
-     * Batched generation: fill @p out with up to @p max ops and return
-     * the number produced; 0 means the workload completed (exactly when
-     * next() would return nullopt). The scheduler steps ops one at a
-     * time through next(); batches serve bulk consumers — StreamCache
-     * generation, trace record/replay, and the perfbench layer
-     * benchmark's workload-generation timing.
-     *
-     * Batch-transparency contract: the concatenation of ops and context
-     * interactions across repeated next_batch() calls must equal the
-     * serial next() sequence, and context interactions may only happen
-     * while generating the FIRST op of a batch — the caller executes the
-     * whole batch after the fill, so an interaction generated mid-batch
-     * would be reordered before ops that serially precede it.
-     * Implementations therefore stop early (return k < max) when the
-     * next op would need the context.
-     *
-     * The default is the conservative one-op batch, correct for any
-     * generator; workloads opt into real batching by overriding.
+     * next() into @p out[0]: returns 1, or 0 once the workload completed
+     * (or when @p max is 0). Kept because the perfbench layer benchmark
+     * times generators through it.
      */
-    virtual unsigned
+    unsigned
     next_batch(WorkloadContext &ctx, MemOp *out, unsigned max)
     {
         if (max == 0)

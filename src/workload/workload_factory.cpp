@@ -64,17 +64,6 @@ workload_registered(const std::string &name)
     return registry().count(name) != 0;
 }
 
-std::vector<std::string>
-registered_workloads()
-{
-    ensure_builtins();
-    std::vector<std::string> names;
-    names.reserve(registry().size());
-    for (const auto &[name, ctor] : registry())
-        names.push_back(name);
-    return names;
-}
-
 std::unique_ptr<Workload>
 make_workload(const std::string &name, const WorkloadOptions &options)
 {

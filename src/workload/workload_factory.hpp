@@ -10,7 +10,7 @@
  * knobs, so new generators need no catalog edits and become sweepable by
  * the suite "workload" axis immediately. The catalog presets
  * (catalog.cpp) and the serving tier (serving.cpp) register themselves
- * here; out-of-tree generators use WorkloadRegistrar.
+ * here; other generators call register_workload().
  *
  * Unknown names fail fast with a SimError listing every registered name.
  */
@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/params.hpp"
 #include "workload/workload.hpp"
@@ -52,23 +51,12 @@ void register_workload(const std::string &name, WorkloadCtor ctor);
 /// True iff @p name has a registered constructor.
 bool workload_registered(const std::string &name);
 
-/// Registered names, sorted (error messages and sweep enumeration).
-std::vector<std::string> registered_workloads();
-
 /**
  * Construct the workload registered under @p name.
  * @throws SimError listing registered names if @p name is unknown.
  */
 std::unique_ptr<Workload>
 make_workload(const std::string &name, const WorkloadOptions &options = {});
-
-/// Static-registrar helper: `static WorkloadRegistrar r{"x", ctor};`
-struct WorkloadRegistrar {
-    WorkloadRegistrar(const std::string &name, WorkloadCtor ctor)
-    {
-        register_workload(name, std::move(ctor));
-    }
-};
 
 namespace detail {
 
@@ -78,7 +66,7 @@ void register_catalog_workloads();
 void register_serving_workloads();
 
 /// Per-workload seed derivation shared by every registered generator.
-/// Part of the stream identity: StreamCache keys and golden snapshots
+/// Part of the stream identity: golden snapshots and recorded .ptt traces
 /// depend on it, so the formula must never change.
 std::uint64_t mix_seed(const std::string &name, std::uint64_t seed);
 

@@ -66,6 +66,10 @@ TEST(ProviderFactory, UnknownPolicyFailsFastListingNames)
         EXPECT_NE(what.find("buddy"), std::string::npos);
         EXPECT_NE(what.find("ptemagnet"), std::string::npos);
         EXPECT_NE(what.find("reserve_thp"), std::string::npos);
+        // The origin is named from the repository root, not the checkout.
+        EXPECT_NE(what.find("(src/vm/provider_factory.cpp:"),
+                  std::string::npos)
+            << what;
     }
 }
 

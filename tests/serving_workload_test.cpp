@@ -177,8 +177,8 @@ TEST(ServingDeterminism, KvTierIdenticalAcrossRepeatsAndSuiteThreads)
 
 TEST(ServingDeterminism, KvTierStreamKeyedByWorkloadParams)
 {
-    // Same name/seed/scale but different generator knobs must not share
-    // a memoized stream: the StreamCache key covers workload_params.
+    // Same name/seed/scale but different generator knobs must give
+    // different streams: the generator reads workload_params.
     ScenarioConfig few = serving_config("kv_tier");
     few.with_workload_param("value_lines", 2);
     ScenarioConfig many = serving_config("kv_tier");
@@ -187,7 +187,7 @@ TEST(ServingDeterminism, KvTierStreamKeyedByWorkloadParams)
     ScenarioResult b = run_scenario(many);
     EXPECT_NE(a.victim_cycles, b.victim_cycles);
 
-    // And the same knobs replayed from the memo stay bit-identical.
+    // And the same knobs run again stay bit-identical.
     ScenarioResult c = run_scenario(few);
     EXPECT_EQ(a.victim_cycles, c.victim_cycles);
 }

@@ -1,13 +1,12 @@
 /**
  * @file
  * Trace frontend tests: .ptt encode/decode round-trips, record→replay
- * determinism for every catalog workload, and StreamCache equivalence
- * (the memoized stream must be observably identical to the generator).
+ * determinism for every catalog workload, and rejection of malformed
+ * traces as SimErrors.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -145,12 +144,11 @@ TEST(RecordingWorkloadTest, StreamMatchesSerialGeneratorExactly)
     while (auto op = ref->next(ref_ctx))
         ref_ops.push_back(*op);
 
-    // Recorded (batched) run, then decode.
+    // Recorded run, then decode.
     LoggingContext rec_ctx;
     RecordingWorkload rec(make_workload("mcf", options));
     rec.setup(rec_ctx);
-    MemOp buf[64];
-    while (rec.next_batch(rec_ctx, buf, 64) != 0) {
+    while (rec.next(rec_ctx)) {
     }
 
     DecodeState state;
@@ -158,6 +156,7 @@ TEST(RecordingWorkloadTest, StreamMatchesSerialGeneratorExactly)
     const auto &bytes = rec.encoder().bytes();
     decode_setup(bytes.data(), bytes.size(), state, replay_ctx);
     std::vector<MemOp> replay_ops;
+    MemOp buf[64];
     unsigned n;
     while ((n = decode_ops(bytes.data(), bytes.size(), state, replay_ctx,
                            buf, 64)) != 0) {
@@ -308,22 +307,37 @@ TEST(TraceRoundtrip, LoadRejectsGarbage)
     std::remove(path.c_str());
     EXPECT_THROW(workload::TraceFile::load("does_not_exist.ptt"),
                  SimError);
-}
 
-TEST(StreamCacheTest, MemoizedStreamsMatchBareGenerators)
-{
-    ScenarioConfig config = tiny_config("cc").with_corunner("stress-ng", 1);
-    // Leg 1: generators, memo disabled.
-    ::setenv("PTM_NO_STREAM_MEMO", "1", 1);
-    ASSERT_FALSE(workload::StreamCache::enabled());
-    ScenarioResult bare = run_scenario(config);
-    ::unsetenv("PTM_NO_STREAM_MEMO");
-    ASSERT_TRUE(workload::StreamCache::enabled());
-    // Leg 2 populates the cache; leg 3 replays from it.
-    ScenarioResult first = run_scenario(config);
-    ScenarioResult memoized = run_scenario(config);
-    expect_same_result(bare, first, "cache-fill");
-    expect_same_result(bare, memoized, "cache-replay");
+    // A header length near 2^64 must not wrap the bounds check.
+    std::vector<std::uint8_t> header(
+        workload::ptt::kMagic,
+        workload::ptt::kMagic + sizeof(workload::ptt::kMagic));
+    header.push_back(1);                           // one job
+    workload::ptt::put_varint(header, ~0ULL - 5);  // its name length
+    header.resize(header.size() + 32, 'x');
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(header.data(), 1, header.size(), f);
+    std::fclose(f);
+    EXPECT_THROW(workload::TraceFile::load(path), SimError);
+    std::remove(path.c_str());
+
+    // A well-formed file whose stream is corrupt loads, then fails the
+    // run that decodes it. The stream is the file's last len bytes.
+    const std::string corrupt = temp_trace_path("corrupt");
+    ScenarioConfig config = tiny_config("pagerank");
+    run_scenario(ScenarioConfig(config).with_trace_record(corrupt));
+    const std::size_t len =
+        workload::TraceFile::load(corrupt).job(0).bytes.size();
+    f = std::fopen(corrupt.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, -static_cast<long>(len), SEEK_END), 0);
+    std::fputc(0xff, f);  // no such opcode
+    std::fclose(f);
+    EXPECT_THROW(
+        run_scenario(ScenarioConfig(config).with_trace_replay(corrupt)),
+        SimError);
+    std::remove(corrupt.c_str());
 }
 
 }  // namespace
