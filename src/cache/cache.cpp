@@ -1,6 +1,6 @@
 #include "cache/cache.hpp"
 
-#include <bit>
+#include <algorithm>
 
 namespace ptm::cache {
 
@@ -8,6 +8,9 @@ Cache::Cache(const CacheGeometry &geometry) : geometry_(geometry)
 {
     if (geometry_.ways == 0)
         ptm_fatal("%s: cache with zero ways", geometry_.name.c_str());
+    if (geometry_.ways > kMaxWays)
+        ptm_fatal("%s: %u ways exceed the %u a set's recency word ranks",
+                  geometry_.name.c_str(), geometry_.ways, kMaxWays);
     num_sets_ = geometry_.num_sets();
     if (num_sets_ == 0 || (num_sets_ & (num_sets_ - 1)) != 0) {
         ptm_fatal("%s: set count %llu is not a nonzero power of two "
@@ -19,30 +22,11 @@ Cache::Cache(const CacheGeometry &geometry) : geometry_(geometry)
     }
     set_shift_ = static_cast<unsigned>(std::countr_zero(num_sets_));
     ways_ = geometry_.ways;
-    tag_words_ = (ways_ + 1) / 2;
-    set_stride_ = tag_words_ + ways_;
+    mru_shift_ = 4 * (ways_ - 1);
 
-    slab_.assign(static_cast<std::size_t>(num_sets_) * set_stride_, 0);
-    hint_.assign(num_sets_, 0);
-    reset_tags();
-}
-
-void
-Cache::reset_tags()
-{
-    // Tags to the empty sentinel, stamps and the hint accelerator to
-    // zero: install() picks the smallest stamp, so a flushed set refills
-    // its empty ways lowest first.
-    for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        std::uint32_t *tags = set_tags(set);
-        for (unsigned w = 0; w < 2 * tag_words_; ++w)
-            tags[w] = kInvalidTag;  // including the pad lane of odd ways
-        std::uint64_t *stamps = set_stamps(set);
-        for (unsigned w = 0; w < ways_; ++w)
-            stamps[w] = 0;
-        hint_[set] = 0;
-    }
-    memo_line_ = ~0ULL;
+    tags_.resize(static_cast<std::size_t>(num_sets_) * ways_);
+    recency_.resize(num_sets_);
+    flush();
 }
 
 bool
@@ -56,7 +40,16 @@ Cache::probe(std::uint64_t line) const
 void
 Cache::flush()
 {
-    reset_tags();
+    // Every set to the identity order, way w at rank w. Ways only become
+    // empty here, and a touched way always moves to the top, so the
+    // ways still empty sit below every used one in ascending order: a
+    // refilling set fills its lowest empty way first.
+    std::uint64_t identity = 0;
+    for (unsigned w = 0; w < ways_; ++w)
+        identity |= std::uint64_t{w} << (4 * w);
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(recency_.begin(), recency_.end(), identity);
+    memo_line_ = ~0ULL;
 }
 
 void
@@ -76,11 +69,8 @@ std::uint64_t
 Cache::resident_lines() const
 {
     std::uint64_t n = 0;
-    for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        const std::uint32_t *tags = set_tags(set);
-        for (unsigned w = 0; w < ways_; ++w)
-            n += tags[w] != kInvalidTag ? 1 : 0;
-    }
+    for (std::uint32_t tag : tags_)
+        n += tag != kInvalidTag ? 1 : 0;
     return n;
 }
 

@@ -3,12 +3,12 @@
  * Tag-only set-associative cache model with true-LRU replacement.
  *
  * The simulator only needs hit/miss behaviour and eviction order, never
- * line contents. The tag store is a single contiguous slab laid out
- * set-major: each set's tags are immediately followed by its LRU stamps,
- * so one lookup touches one short run of host cache lines — index
- * arithmetic only, no per-set objects, no pointers to chase. The
- * MRU-hint way lives in a dense per-set byte array that stays host-L1
- * resident.
+ * line contents. Tags live in one flat array indexed set * ways + way,
+ * so a lookup scans one short contiguous run. Recency lives in a dense
+ * per-set array of 64-bit words: nibble r of a set's word holds the way
+ * at recency rank r (rank 0 the LRU way, rank ways-1 the MRU way), so
+ * the MRU way, the LRU victim and a move to MRU are each a few shifts
+ * and masks — no stamps, no clock, no victim scan.
  *
  * Tags are stored as 32 bits: a tag
  * is line >> log2(sets) and modeled physical memory is bounded far
@@ -17,12 +17,14 @@
  * scan touches (an 8-way set's tags are 32 contiguous bytes). Every tag
  * scan is the scalar first-match loop find_way(): inside the inlined
  * access path it beat an SSE2 vector scan (DESIGN.md §9). A per-set
- * LRU policy object in tests/cache_test.cpp is the reference model the
- * cache is compared against. Write-allocate, no dirty tracking (latency
- * is symmetric for the metrics the paper reports).
+ * stamp-based LRU policy in tests/cache_test.cpp is the independent
+ * reference model the cache is compared against. Write-allocate, no
+ * dirty tracking (latency is symmetric for the metrics the paper
+ * reports).
  */
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -84,6 +86,9 @@ class Cache {
     /// simulated physical space is orders of magnitude under that bound
     /// (2^38 bytes even for a single-set cache).
     static constexpr std::uint32_t kInvalidTag = ~0U;
+    /// Most ways a set can have: its recency word ranks them in 4-bit
+    /// nibbles of one u64.
+    static constexpr unsigned kMaxWays = 16;
 
     explicit Cache(const CacheGeometry &geometry);
 
@@ -97,9 +102,8 @@ class Cache {
     {
         // Same-line repeat: the previous access left this line resident
         // and MRU (hit or install), and nothing was installed or
-        // flushed since — a guaranteed hit whose recency touch would
-        // be an order-preserving no-op (it is already the newest entry
-        // of its set). Sequential workloads revisit a line for ~8
+        // flushed since — a guaranteed hit whose recency update would
+        // be a no-op. Sequential workloads revisit a line for ~8
         // consecutive ops, so this skips most tag-scan work.
         if (line == memo_line_) {
             stats_.hits[static_cast<unsigned>(kind)].inc();
@@ -108,12 +112,12 @@ class Cache {
         const std::uint64_t set = line & (num_sets_ - 1);
         const std::uint32_t tag = tag_of(line);
         std::uint32_t *tags = set_tags(set);
+        const std::uint64_t order = recency_[set];
         // MRU shortcut: a tag lives in at most one way of its set, so
-        // probing the last-hit way first cannot change the outcome —
-        // and temporal locality makes it the common case.
-        const unsigned hint = hint_of(set);
-        if (tags[hint] == tag) {
-            touch(set, hint);
+        // probing the MRU way first cannot change the outcome — and
+        // temporal locality makes it the common case. A hit there leaves
+        // the recency order as it is.
+        if (tags[order >> mru_shift_] == tag) {
             stats_.hits[static_cast<unsigned>(kind)].inc();
             memo_line_ = line;
             return true;
@@ -122,14 +126,19 @@ class Cache {
         // no separate valid-bit load on the hot scan.
         const unsigned w = find_way(tags, tag);
         if (w < ways_) {
-            set_hint(set, w);
-            touch(set, w);
+            recency_[set] = promote(order, w);
             stats_.hits[static_cast<unsigned>(kind)].inc();
             memo_line_ = line;
             return true;
         }
         stats_.misses[static_cast<unsigned>(kind)].inc();
-        install(set, tag);
+        // The victim is the LRU way, rank 0; in a set that is not full
+        // yet that is its lowest empty way (see flush()). Rotating it to
+        // the top makes it MRU and drops every other way one rank.
+        const unsigned victim = static_cast<unsigned>(order & 0xF);
+        tags[victim] = tag;
+        recency_[set] =
+            (order >> 4) | (std::uint64_t{victim} << mru_shift_);
         // The install leaves the line resident and MRU, so a repeat
         // access may take the memo path (and correctly report a hit).
         memo_line_ = line;
@@ -156,29 +165,14 @@ class Cache {
     std::uint64_t resident_lines() const;
 
   private:
-    /// Start of the set's slab run (u64 words).
-    std::uint64_t *set_base(std::uint64_t set)
-    {
-        return &slab_[static_cast<std::size_t>(set) * set_stride_];
-    }
-    const std::uint64_t *set_base(std::uint64_t set) const
-    {
-        return &slab_[static_cast<std::size_t>(set) * set_stride_];
-    }
-    /// The set's ways_ 32-bit tags, packed at the head of its run
-    /// (tag_words_ u64 words viewed as u32 lanes).
+    /// The set's ways_ tags.
     std::uint32_t *set_tags(std::uint64_t set)
     {
-        return reinterpret_cast<std::uint32_t *>(set_base(set));
+        return &tags_[static_cast<std::size_t>(set) * ways_];
     }
     const std::uint32_t *set_tags(std::uint64_t set) const
     {
-        return reinterpret_cast<const std::uint32_t *>(set_base(set));
-    }
-    /// LRU stamps of @p set, right after its tags.
-    std::uint64_t *set_stamps(std::uint64_t set)
-    {
-        return set_base(set) + tag_words_;
+        return &tags_[static_cast<std::size_t>(set) * ways_];
     }
 
     /// Narrow a line's tag to the stored 32 bits, guarding exactness.
@@ -190,11 +184,6 @@ class Cache {
                       geometry_.name.c_str(),
                       static_cast<unsigned long long>(line));
         return static_cast<std::uint32_t>(tag);
-    }
-    unsigned hint_of(std::uint64_t set) const { return hint_[set]; }
-    void set_hint(std::uint64_t set, unsigned way)
-    {
-        hint_[set] = static_cast<std::uint8_t>(way);
     }
 
     /// First way of @p tags equal to @p tag, or ways_ when none is. Real
@@ -209,49 +198,37 @@ class Cache {
         return ways_;
     }
 
-    /// Set every way of every set to kInvalidTag and every stamp to 0
-    /// (construction / flush).
-    void reset_tags();
-
-    /// Record a use of @p way: stamps start at 1, so an empty way's 0
-    /// stays the smallest stamp of its set.
-    void
-    touch(std::uint64_t set, unsigned way)
+    /// Recency word @p order with @p way moved to MRU; the ways ranked
+    /// above it each drop one rank, those below keep theirs.
+    std::uint64_t
+    promote(std::uint64_t order, unsigned way) const
     {
-        set_stamps(set)[way] = ++clock_;
-    }
-
-    void
-    install(std::uint64_t set, std::uint32_t tag)
-    {
-        // True LRU: smallest stamp wins, lowest way on ties. Empty ways
-        // keep stamp 0 until filled, so a set that is not full yet
-        // fills its first empty way.
-        const std::uint64_t *stamps = set_stamps(set);
-        unsigned w = 0;
-        for (unsigned i = 1; i < ways_; ++i)
-            w = stamps[i] < stamps[w] ? i : w;
-        set_tags(set)[w] = tag;
-        hint_[set] = static_cast<std::uint8_t>(w);
-        touch(set, w);
+        constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ULL;
+        // SWAR zero-nibble search: x is zero exactly in the nibble at
+        // way's rank. A borrow only runs upward from a zero nibble, so
+        // the lowest flagged nibble is that rank; unused top nibbles
+        // (ways < 16) can only be flagged above it.
+        const std::uint64_t x = order ^ (way * kNibbleOnes);
+        const std::uint64_t zero = (x - kNibbleOnes) & ~x &
+                                   (kNibbleOnes << 3);
+        const unsigned rank_bits =
+            static_cast<unsigned>(std::countr_zero(zero)) & ~3U;  // <= 60
+        const std::uint64_t below = (std::uint64_t{1} << rank_bits) - 1;
+        return (order & below) | ((order >> 4) & ~below) |
+               (std::uint64_t{way} << mru_shift_);
     }
 
     CacheGeometry geometry_;
     std::uint64_t num_sets_;
     unsigned set_shift_;
     unsigned ways_;
-    /// u64 words holding the set's ways_ packed u32 tags: ceil(ways/2).
-    unsigned tag_words_;
-    unsigned set_stride_;  ///< tag_words_ + ways_ (one stamp per way)
-    std::uint64_t clock_ = 0;
-    std::vector<std::uint64_t> slab_;
-    /// Last-hit way per set (MRU shortcut). Deliberately a dense side
-    /// array rather than a word inside the slab: at one byte per set it
-    /// stays resident in the host's L1 across the whole simulation,
-    /// while a per-set metadata word would sit on a cold slab line of
-    /// its own. A pure lookup accelerator — it never affects
-    /// replacement decisions or metrics.
-    std::vector<std::uint8_t> hint_;
+    unsigned mru_shift_;  ///< 4 * (ways_ - 1): bit offset of the MRU rank
+    /// Tag of way w of set s at [s * ways_ + w]; kInvalidTag when empty.
+    std::vector<std::uint32_t> tags_;
+    /// Recency word per set: nibble r holds the way at rank r, rank 0
+    /// LRU. Nibbles at ranks >= ways_ stay zero, so order >> mru_shift_
+    /// is the MRU way with no mask.
+    std::vector<std::uint64_t> recency_;
     /// Line of the most recent access (resident and MRU by construction);
     /// ~0 when no such guarantee holds. Cleared by flush, which changes
     /// residency behind the memo's back.

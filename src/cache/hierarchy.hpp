@@ -104,13 +104,7 @@ class MemoryHierarchy {
     Cycles
     latency_of(ServedBy level) const
     {
-        switch (level) {
-          case ServedBy::L1: return config_.l1_latency;
-          case ServedBy::L2: return config_.l2_latency;
-          case ServedBy::Llc: return config_.llc_latency;
-          case ServedBy::Memory: return config_.memory_latency;
-        }
-        ptm_panic("unreachable serving level");
+        return latency_by_[static_cast<unsigned>(level)];
     }
 
     /// True if @p paddr currently hits anywhere in @p core's path.
@@ -140,7 +134,7 @@ class MemoryHierarchy {
   private:
     HierarchyConfig config_;
     unsigned num_cores_;
-    /// latency_of() as a flat table, indexed by ServedBy — the hot
+    /// Per-level latency from config_, indexed by ServedBy — the hot
     /// access path reads this instead of branching on the level.
     Cycles latency_by_[kServedByCount] = {};
     std::vector<Cache> l1_;

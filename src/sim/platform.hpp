@@ -25,8 +25,10 @@ struct PlatformConfig {
     /// Host-physical memory: 896 MiB.
     std::uint64_t host_frames = 224 * 1024;
 
-    cache::HierarchyConfig hierarchy;  ///< 32K L1 / 256K L2 / 2M LLC
-    tlb::TlbConfig tlb;                ///< 64-entry L1, 1536-entry STLB
+    /// 16 KiB L1D and 64 KiB L2 (8-way), 256 KiB LLC (16-way).
+    cache::HierarchyConfig hierarchy;
+    /// 32-entry 4-way L1 TLB, 256-entry 8-way L2 TLB.
+    tlb::TlbConfig tlb;
 
     vm::GuestCostModel guest_costs;
     host::HostCostModel host_costs;

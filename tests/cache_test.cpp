@@ -17,8 +17,9 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Reference LRU policy: one object per set, the obvious implementation.
-// Cache inlines the same policy into its set slab; ReferenceCache below
-// is built from this.
+// Cache ranks its ways in a packed recency word instead; this stamp
+// model is the independent reference that ReferenceCache below is built
+// from.
 
 /// True LRU via per-way use stamps; victim is the smallest stamp, lowest
 /// way on ties (invalid ways are chosen by the cache before consulting
@@ -232,6 +233,13 @@ TEST(CacheDeathTest, ZeroWaysIsFatal)
                 ::testing::ExitedWithCode(1), "zero ways");
 }
 
+TEST(CacheDeathTest, MoreThanSixteenWaysIsFatal)
+{
+    // One 17-way set: a recency word ranks at most 16 ways.
+    EXPECT_EXIT(Cache cache({"wide", 17 * kCacheLineSize, 17}),
+                ::testing::ExitedWithCode(1), "wide: 17 ways exceed");
+}
+
 TEST(CacheDeathTest, NonPowerOfTwoSetCountIsFatal)
 {
     // 12 KiB, 4-way, 64B lines -> 48 sets.
@@ -341,10 +349,12 @@ TEST(ReferenceSweep, RandomizedTraceMatchesReferenceModel)
 {
     // 32 sets at each associativity from direct mapped to 16 ways; a
     // line pool four times the capacity keeps every set churning through
-    // evictions. A rare flush (~0.1% of ops) makes sets refill from
+    // evictions. 3 and 12 ways are not powers of two: the MRU rank of
+    // Cache's recency word then sits at nibble 2 or 11, with unused
+    // nibbles above it. A rare flush (~0.1% of ops) makes sets refill from
     // empty, where the reference picks the first invalid way and Cache
-    // relies on empty ways keeping the smallest stamp.
-    for (unsigned ways : {1u, 2u, 4u, 8u, 16u}) {
+    // relies on empty ways ranking below used ones, lowest first.
+    for (unsigned ways : {1u, 2u, 3u, 4u, 8u, 12u, 16u}) {
         SCOPED_TRACE(std::to_string(ways) + " ways");
         const std::uint64_t sets = 32;
         const CacheGeometry geometry{"t", sets * ways * kCacheLineSize,
