@@ -1,5 +1,6 @@
 #include "core/part.hpp"
 
+#include <array>
 #include <bit>
 
 #include "common/log.hpp"
@@ -7,29 +8,18 @@
 namespace ptm::core {
 
 /**
- * Radix node. Levels 0..2 hold child nodes; level 3 holds reservation
- * entries. Nodes are created on demand and never freed before the tree
- * itself (so raw parent pointers captured during a descent stay valid);
- * entries are unlinked with a tombstone protocol so that no thread can
- * observe a freed entry:
- *   - a slot pointer may only be read while holding the level-3 node lock;
- *   - an entry may only be freed while holding the level-3 node lock,
- *     after a lock/unlock barrier on the entry itself, which guarantees
- *     every thread that obtained the pointer has finished with it.
+ * Radix node. Nodes are created on demand and live as long as the tree;
+ * a reservation occupies an entry of its level-3 node, so creating or
+ * deleting one allocates and frees nothing.
  */
-struct Part::Leaf {
-    std::mutex lock;
-    std::uint64_t base_gfn = 0;
-    std::uint32_t mask = 0;
-    bool valid = true;
+template <unsigned Level>
+struct Part::Node {
+    std::array<std::unique_ptr<Node<Level + 1>>, kFanout> children;
 };
 
-struct Part::Node {
-    std::mutex lock;
-    // Children: nodes at levels 0..2, leaves at level 3. Only one of the
-    // two arrays is populated depending on the node's level.
-    std::array<std::unique_ptr<Node>, kFanout> children;
-    std::array<std::unique_ptr<Leaf>, kFanout> entries;
+template <>
+struct Part::Node<Part::kLevels - 1> {
+    std::array<Entry, kFanout> entries;
 };
 
 namespace {
@@ -42,10 +32,40 @@ index_at(std::uint64_t group, unsigned level)
                                  (Part::kFanout - 1));
 }
 
+template <class Child>
+Child &
+child_or_new(std::unique_ptr<Child> &slot)
+{
+    if (!slot)
+        slot = std::make_unique<Child>();
+    return *slot;
+}
+
+/**
+ * Call @p fn(leaf, prefix) for every level-3 node under @p node in
+ * ascending group order; the leaf's entry i is the group
+ * (prefix << kBitsPerLevel) | i.
+ */
+template <class Node, class Fn>
+void
+for_each_leaf(Node &node, std::uint64_t prefix, const Fn &fn)
+{
+    if constexpr (requires { node.entries; }) {
+        fn(node, prefix);
+    } else {
+        for (unsigned i = 0; i < Part::kFanout; ++i) {
+            if (node.children[i]) {
+                for_each_leaf(*node.children[i],
+                              (prefix << Part::kBitsPerLevel) | i, fn);
+            }
+        }
+    }
+}
+
 }  // namespace
 
 Part::Part(unsigned pages_per_group)
-    : root_(std::make_unique<Node>()), pages_per_group_(pages_per_group),
+    : root_(std::make_unique<Node<0>>()), pages_per_group_(pages_per_group),
       full_mask_(pages_per_group == 32
                      ? ~std::uint32_t{0}
                      : (std::uint32_t{1} << pages_per_group) - 1)
@@ -57,94 +77,49 @@ Part::Part(unsigned pages_per_group)
 
 Part::~Part() = default;
 
-/**
- * Descend to the level-3 node for @p group with hand-over-hand locking.
- * On return the level-3 node's lock is HELD (via the returned lock) and
- * the node pointer is valid. If @p create_missing is false and the path
- * does not exist, returns nullptr with no lock held.
- */
-static Part::Node *
-descend(Part::Node *root, std::uint64_t group, bool create_missing,
-        std::unique_lock<std::mutex> &out_lock)
+Part::Entry *
+Part::live_entry(std::uint64_t group) const
 {
-    std::unique_lock<std::mutex> lock(root->lock);
-    Part::Node *node = root;
-    for (unsigned level = 0; level < Part::kLevels - 1; ++level) {
-        unsigned idx = index_at(group, level);
-        if (!node->children[idx]) {
-            if (!create_missing)
-                return nullptr;
-            node->children[idx] = std::make_unique<Part::Node>();
-        }
-        Part::Node *child = node->children[idx].get();
-        std::unique_lock<std::mutex> child_lock(child->lock);
-        lock.swap(child_lock);  // hand-over-hand: parent unlocks last
-        node = child;
-    }
-    out_lock = std::move(lock);
-    return node;
+    Node<1> *mid = root_->children[index_at(group, 0)].get();
+    if (mid == nullptr)
+        return nullptr;
+    Node<2> *low = mid->children[index_at(group, 1)].get();
+    if (low == nullptr)
+        return nullptr;
+    Node<3> *leaf = low->children[index_at(group, 2)].get();
+    if (leaf == nullptr)
+        return nullptr;
+    Entry &entry = leaf->entries[index_at(group, 3)];
+    return entry.mask != 0 ? &entry : nullptr;
 }
 
 ClaimResult
 Part::claim(std::uint64_t group, unsigned offset)
 {
     ptm_assert(offset < pages_per_group_);
-    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-
-    std::unique_lock<std::mutex> node_lock;
-    Node *node = descend(root_.get(), group, false, node_lock);
-    if (node == nullptr)
+    Entry *entry = live_entry(group);
+    if (entry == nullptr)
         return {};
-
-    unsigned slot = index_at(group, kLevels - 1);
-    Leaf *leaf = node->entries[slot].get();
-    if (leaf == nullptr)
-        return {};
-
-    std::unique_lock<std::mutex> leaf_lock(leaf->lock);
-    node_lock.unlock();
-    if (!leaf->valid)
-        return {};  // concurrently deleted: treat as a miss
-
-    std::uint32_t bit = std::uint32_t{1} << offset;
-    if (leaf->mask & bit) {
-        // A concurrent fault on the same page won the race: report the
-        // winner's frame idempotently (the kernel sees an already
-        // present PTE on retry).
-        ClaimResult raced;
-        raced.found = true;
-        raced.gfn = leaf->base_gfn + offset;
-        raced.already_mapped = true;
-        return raced;
-    }
 
     ClaimResult result;
     result.found = true;
-    result.gfn = leaf->base_gfn + offset;
-    leaf->mask |= bit;
-    unmapped_reserved_.fetch_sub(1, std::memory_order_relaxed);
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
-
-    bool tombstoned = false;
-    if (leaf->mask == full_mask_) {
-        // All eight pages are mapped: the entry is no longer needed and
-        // can be safely deleted (§4.2).
-        leaf->valid = false;
-        tombstoned = true;
-        result.deleted_full = true;
+    result.gfn = entry->base_gfn + offset;
+    std::uint32_t bit = std::uint32_t{1} << offset;
+    if (entry->mask & bit) {
+        // A refault of a page the reservation already handed out: report
+        // its frame (the kernel sees an already present PTE).
+        result.already_mapped = true;
+        return result;
     }
-    leaf_lock.unlock();
 
-    if (tombstoned) {
-        std::unique_lock<std::mutex> relock(node->lock);
-        if (node->entries[slot].get() == leaf) {
-            // Barrier: wait out any thread that still holds the pointer.
-            leaf->lock.lock();
-            leaf->lock.unlock();
-            node->entries[slot].reset();
-        }
-        live_reservations_.fetch_sub(1, std::memory_order_relaxed);
-        stats_.deletes_full.fetch_add(1, std::memory_order_relaxed);
+    entry->mask |= bit;
+    --unmapped_reserved_;
+    if (entry->mask == full_mask_) {
+        // Every page of the group is mapped: the entry is no longer
+        // needed and can be safely deleted (§4.2).
+        *entry = {};
+        --live_reservations_;
+        result.deleted_full = true;
     }
     return result;
 }
@@ -154,25 +129,18 @@ Part::create(std::uint64_t group, std::uint64_t base_gfn, unsigned offset)
 {
     ptm_assert(offset < pages_per_group_);
 
-    std::unique_lock<std::mutex> node_lock;
-    Node *node = descend(root_.get(), group, true, node_lock);
-    ptm_assert(node != nullptr);
-
-    unsigned slot = index_at(group, kLevels - 1);
-    if (node->entries[slot] && node->entries[slot]->valid) {
+    Node<1> &mid = child_or_new(root_->children[index_at(group, 0)]);
+    Node<2> &low = child_or_new(mid.children[index_at(group, 1)]);
+    Node<3> &leaf = child_or_new(low.children[index_at(group, 2)]);
+    Entry &entry = leaf.entries[index_at(group, 3)];
+    if (entry.mask != 0) {
         ptm_panic("create over a live reservation for group %llu",
                   static_cast<unsigned long long>(group));
     }
 
-    auto leaf = std::make_unique<Leaf>();
-    leaf->base_gfn = base_gfn;
-    leaf->mask = std::uint32_t{1} << offset;
-    node->entries[slot] = std::move(leaf);
-
-    live_reservations_.fetch_add(1, std::memory_order_relaxed);
-    unmapped_reserved_.fetch_add(pages_per_group_ - 1,
-                                 std::memory_order_relaxed);
-    stats_.creates.fetch_add(1, std::memory_order_relaxed);
+    entry = {base_gfn, std::uint32_t{1} << offset};
+    ++live_reservations_;
+    unmapped_reserved_ += pages_per_group_ - 1;
     return base_gfn + offset;
 }
 
@@ -180,24 +148,12 @@ ReleaseResult
 Part::release(std::uint64_t group, unsigned offset)
 {
     ptm_assert(offset < pages_per_group_);
-
-    std::unique_lock<std::mutex> node_lock;
-    Node *node = descend(root_.get(), group, false, node_lock);
-    if (node == nullptr)
-        return {};
-
-    unsigned slot = index_at(group, kLevels - 1);
-    Leaf *leaf = node->entries[slot].get();
-    if (leaf == nullptr)
-        return {};
-
-    std::unique_lock<std::mutex> leaf_lock(leaf->lock);
-    node_lock.unlock();
-    if (!leaf->valid)
+    Entry *entry = live_entry(group);
+    if (entry == nullptr)
         return {};
 
     std::uint32_t bit = std::uint32_t{1} << offset;
-    if (!(leaf->mask & bit)) {
+    if (!(entry->mask & bit)) {
         // Releasing a page the reservation never handed out: kernel-model
         // bookkeeping error.
         ptm_panic("release of unmapped page %u in group %llu", offset,
@@ -206,32 +162,17 @@ Part::release(std::uint64_t group, unsigned offset)
 
     ReleaseResult result;
     result.found = true;
-    leaf->mask &= ~bit;
-    result.final_mask = leaf->mask;
-    unmapped_reserved_.fetch_add(1, std::memory_order_relaxed);
-
-    bool tombstoned = false;
-    if (leaf->mask == 0) {
+    entry->mask &= ~bit;
+    result.final_mask = entry->mask;
+    ++unmapped_reserved_;
+    if (entry->mask == 0) {
         // Application freed every page it had: drop the reservation and
         // hand the whole chunk back (§4.3, case 1).
-        leaf->valid = false;
-        tombstoned = true;
         result.deleted_empty = true;
-        result.base_gfn = leaf->base_gfn;
-    }
-    leaf_lock.unlock();
-
-    if (tombstoned) {
-        std::unique_lock<std::mutex> relock(node->lock);
-        if (node->entries[slot].get() == leaf) {
-            leaf->lock.lock();
-            leaf->lock.unlock();
-            node->entries[slot].reset();
-        }
-        live_reservations_.fetch_sub(1, std::memory_order_relaxed);
-        unmapped_reserved_.fetch_sub(pages_per_group_,
-                                     std::memory_order_relaxed);
-        stats_.deletes_free.fetch_add(1, std::memory_order_relaxed);
+        result.base_gfn = entry->base_gfn;
+        *entry = {};
+        --live_reservations_;
+        unmapped_reserved_ -= pages_per_group_;
     }
     return result;
 }
@@ -239,78 +180,31 @@ Part::release(std::uint64_t group, unsigned offset)
 std::optional<ReservationView>
 Part::find(std::uint64_t group) const
 {
-    std::unique_lock<std::mutex> node_lock;
-    Node *node = descend(const_cast<Node *>(root_.get()), group, false,
-                         node_lock);
-    if (node == nullptr)
+    const Entry *entry = live_entry(group);
+    if (entry == nullptr)
         return std::nullopt;
-
-    unsigned slot = index_at(group, kLevels - 1);
-    Leaf *leaf = node->entries[slot].get();
-    if (leaf == nullptr)
-        return std::nullopt;
-
-    std::unique_lock<std::mutex> leaf_lock(leaf->lock);
-    node_lock.unlock();
-    if (!leaf->valid)
-        return std::nullopt;
-    return ReservationView{group, leaf->base_gfn, leaf->mask};
+    return ReservationView{group, entry->base_gfn, entry->mask};
 }
-
-namespace {
-
-void
-drain_node(Part::Node *node, unsigned level, std::uint64_t prefix,
-           unsigned pages_per_group,
-           const std::function<void(const ReservationView &)> &fn,
-           std::uint64_t &removed_entries, std::uint64_t &removed_unmapped)
-{
-    std::unique_lock<std::mutex> lock(node->lock);
-    if (level == Part::kLevels - 1) {
-        for (unsigned i = 0; i < Part::kFanout; ++i) {
-            Part::Leaf *leaf = node->entries[i].get();
-            if (leaf == nullptr)
-                continue;
-            leaf->lock.lock();
-            bool valid = leaf->valid;
-            ReservationView view{(prefix << Part::kBitsPerLevel) | i,
-                                 leaf->base_gfn, leaf->mask};
-            leaf->valid = false;
-            leaf->lock.unlock();
-            if (valid) {
-                fn(view);
-                ++removed_entries;
-                removed_unmapped += pages_per_group -
-                                    static_cast<unsigned>(
-                                        std::popcount(view.mask));
-            }
-            node->entries[i].reset();
-        }
-        return;
-    }
-    for (unsigned i = 0; i < Part::kFanout; ++i) {
-        if (node->children[i]) {
-            drain_node(node->children[i].get(), level + 1,
-                       (prefix << Part::kBitsPerLevel) | i,
-                       pages_per_group, fn, removed_entries,
-                       removed_unmapped);
-        }
-    }
-}
-
-}  // namespace
 
 void
 Part::drain(const std::function<void(const ReservationView &)> &fn)
 {
-    std::uint64_t removed_entries = 0;
-    std::uint64_t removed_unmapped = 0;
-    drain_node(root_.get(), 0, 0, pages_per_group_, fn, removed_entries,
-               removed_unmapped);
-    live_reservations_.fetch_sub(removed_entries,
-                                 std::memory_order_relaxed);
-    unmapped_reserved_.fetch_sub(removed_unmapped,
-                                 std::memory_order_relaxed);
+    for_each_leaf(*root_, 0, [&](Node<kLevels - 1> &leaf,
+                                 std::uint64_t prefix) {
+        for (unsigned i = 0; i < kFanout; ++i) {
+            Entry &entry = leaf.entries[i];
+            if (entry.mask == 0)
+                continue;
+            ReservationView view{(prefix << kBitsPerLevel) | i,
+                                 entry.base_gfn, entry.mask};
+            entry = {};
+            --live_reservations_;
+            unmapped_reserved_ -= pages_per_group_ -
+                                  static_cast<unsigned>(
+                                      std::popcount(view.mask));
+            fn(view);
+        }
+    });
 }
 
 }  // namespace ptm::core

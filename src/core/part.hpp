@@ -3,26 +3,21 @@
  * PaRT — the Page Reservation Table (§4.2).
  *
  * A per-process 4-level radix tree indexed by the 32 KiB-aligned group
- * number of a guest-virtual page (gvpn >> 3). Each leaf entry describes
+ * number of a guest-virtual page (gvpn >> 3). Each level-3 slot describes
  * one reservation: the base guest frame of an aligned 8-frame chunk and
  * an 8-bit mask of which pages in the group the application has mapped.
  *
- * Concurrency follows the paper's design: one lock per radix-tree node,
- * taken hand-over-hand on descent, so that threads faulting in disjoint
- * regions never contend. All mutating operations are atomic with respect
- * to each other.
+ * Not thread-safe; the owning kernel serializes updates. The paper's
+ * kernel patch takes a lock per radix node because Linux faults in
+ * parallel; the simulated kernel handles one fault or free at a time.
  */
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace ptm::core {
@@ -34,23 +29,14 @@ struct ReservationView {
     std::uint32_t mask = 0;      ///< bit i set => page (group*N+i) mapped
 };
 
-/// PaRT activity counters. Atomics: updated from concurrent fault paths.
-struct PartStats {
-    std::atomic<std::uint64_t> lookups{0};
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> creates{0};
-    std::atomic<std::uint64_t> deletes_full{0};   ///< all 8 pages mapped
-    std::atomic<std::uint64_t> deletes_free{0};   ///< all pages freed
-};
-
 /// Result of a claim attempt against an existing reservation.
 struct ClaimResult {
     bool found = false;          ///< a reservation covered the group
     std::uint64_t gfn = 0;       ///< frame handed to the faulting page
     bool deleted_full = false;   ///< claim completed the group; entry gone
-    /// The page was already claimed (a concurrent fault won the race);
-    /// the returned gfn is the one the winner installed. The kernel's
-    /// fault path treats this as "mapping already present".
+    /// The page was already claimed (a refault after a reclaim rebuilt
+    /// the group's reservation); the returned gfn is the installed one.
+    /// The kernel's fault path treats this as "mapping already present".
     bool already_mapped = false;
 };
 
@@ -70,11 +56,6 @@ class Part {
     static constexpr unsigned kLevels = 4;
     static constexpr unsigned kBitsPerLevel = 9;
     static constexpr unsigned kFanout = 1u << kBitsPerLevel;
-
-    // Node types are opaque outside part.cpp but must be nameable by the
-    // internal traversal helpers.
-    struct Node;
-    struct Leaf;
 
     /**
      * @param pages_per_group pages covered by one reservation (2..32);
@@ -114,16 +95,14 @@ class Part {
 
     /**
      * Remove every reservation, invoking @p drain with each removed
-     * entry's view so the caller can free the unmapped frames. Used by
-     * the reclamation daemon (all entries) and by process exit.
+     * entry's view, in ascending group order, so the caller can free the
+     * unmapped frames. Used by the reclamation daemon (all entries) and
+     * by process exit.
      */
     void drain(const std::function<void(const ReservationView &)> &drain);
 
     /// Number of live reservations.
-    std::uint64_t live_reservations() const
-    {
-        return live_reservations_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t live_reservations() const { return live_reservations_; }
 
     /**
      * Reserved-but-unmapped pages across all live reservations — the
@@ -131,20 +110,30 @@ class Part {
      */
     std::uint64_t unmapped_reserved_pages() const
     {
-        return unmapped_reserved_.load(std::memory_order_relaxed);
+        return unmapped_reserved_;
     }
-
-    const PartStats &stats() const { return stats_; }
 
     unsigned pages_per_group() const { return pages_per_group_; }
 
   private:
-    std::unique_ptr<Node> root_;
+    /// One reservation, stored inline in a level-3 node; mask 0 = empty.
+    struct Entry {
+        std::uint64_t base_gfn = 0;
+        std::uint32_t mask = 0;
+    };
+
+    /// Levels 0..2 hold child pointers only; level 3 holds the entries.
+    template <unsigned Level>
+    struct Node;
+
+    /// The live entry for @p group, or nullptr.
+    Entry *live_entry(std::uint64_t group) const;
+
+    std::unique_ptr<Node<0>> root_;
     unsigned pages_per_group_;
     std::uint32_t full_mask_;
-    std::atomic<std::uint64_t> live_reservations_{0};
-    std::atomic<std::uint64_t> unmapped_reserved_{0};
-    PartStats stats_;
+    std::uint64_t live_reservations_ = 0;
+    std::uint64_t unmapped_reserved_ = 0;
 };
 
 }  // namespace ptm::core

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <list>
 #include <map>
 #include <unordered_map>
@@ -121,9 +122,14 @@ TEST_P(PartProperty, MatchesReferenceReservationMap)
     std::map<std::uint64_t, RefEntry> reference;
     Rng rng(GetParam());
     std::uint64_t next_base = 1000;
+    // Windows of 128 groups that straddle a level-3 node boundary (512),
+    // a level-2 one (1 << 18) and a root slot boundary (1 << 27).
+    constexpr std::uint64_t kWindows[] = {0, 448, (1ull << 18) - 64,
+                                          (1ull << 27) - 64};
 
     for (int step = 0; step < 30000; ++step) {
-        std::uint64_t group = rng.below(128);
+        std::uint64_t group = kWindows[rng.below(std::size(kWindows))] +
+                              rng.below(128);
         unsigned offset = static_cast<unsigned>(rng.below(8));
         auto ref = reference.find(group);
         double action = rng.uniform();
@@ -191,6 +197,22 @@ TEST_P(PartProperty, MatchesReferenceReservationMap)
             ASSERT_EQ(part.unmapped_reserved_pages(), unmapped);
         }
     }
+
+    // Drain hands every entry back in ascending group order.
+    std::vector<core::ReservationView> drained;
+    part.drain([&](const core::ReservationView &view) {
+        drained.push_back(view);
+    });
+    ASSERT_EQ(drained.size(), reference.size());
+    std::size_t i = 0;
+    for (const auto &[group, entry] : reference) {
+        ASSERT_EQ(drained[i].group, group) << i;
+        ASSERT_EQ(drained[i].base_gfn, entry.base) << i;
+        ASSERT_EQ(drained[i].mask, entry.mask) << i;
+        ++i;
+    }
+    ASSERT_EQ(part.live_reservations(), 0u);
+    ASSERT_EQ(part.unmapped_reserved_pages(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartProperty,
