@@ -85,11 +85,15 @@ void
 BM_PartLookupMiss(benchmark::State &state)
 {
     ptm::core::Part part;
-    part.create(1, 8, 0);
-    std::uint64_t group = 1u << 20;
+    // The fault path's miss: a claim on a group that lies between live
+    // reservations, so the lookup descends every level before it fails.
+    constexpr std::uint64_t kGroups = 1024;
+    for (std::uint64_t g = 0; g < kGroups; ++g)
+        part.create(g * 7, g * 8, 0);
+    std::uint64_t group = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(part.find(group));
-        ++group;
+        benchmark::DoNotOptimize(part.claim(group * 7 + 3, 1));
+        group = (group + 1) % kGroups;
     }
 }
 BENCHMARK(BM_PartLookupMiss);

@@ -107,7 +107,7 @@ run_system_demo(const std::string &trace_path)
         platform.host_frames = 48 * 1024;
         sim::System system(platform, 2);
         if (use_ptemagnet)
-            system.enable_ptemagnet();
+            system.set_policy("ptemagnet");
         // Arm tracing only for the PTEMagnet leg, so the file shows the
         // interesting (packed-reservation) trajectories.
         if (use_ptemagnet && !trace_path.empty())

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-
-#include <memory>
 #include <optional>
 
 #include "common/error.hpp"
@@ -12,7 +10,6 @@
 #include "pt/table_factory.hpp"
 #include "vm/provider_factory.hpp"
 #include "workload/catalog.hpp"
-#include "workload/trace.hpp"
 
 namespace ptm::sim {
 
@@ -62,14 +59,19 @@ run_scenario(const ScenarioConfig &config)
 {
     const auto wall_start = std::chrono::steady_clock::now();
 
+    // What these fields asked for was removed; a caller that sets one
+    // gets an error, not a run that silently ignores it.
+    if (!config.trace_record.empty())
+        ptm_throw("ScenarioConfig::trace_record: trace record/replay was "
+                  "removed");
+    if (!config.trace_replay.empty())
+        ptm_throw("ScenarioConfig::trace_replay: trace record/replay was "
+                  "removed");
+    if (config.cold_measurement)
+        ptm_throw("ScenarioConfig::cold_measurement: the cold-start flush "
+                  "was removed");
+
     const bool multi_vm = config.multi_vm();
-    if (multi_vm &&
-        (!config.trace_record.empty() || !config.trace_replay.empty())) {
-        ptm_throw("trace record/replay supports single-VM scenarios only "
-                  "(vms=%u, overcommit %s, churn %s)",
-                  config.vms, config.overcommit.armed() ? "armed" : "off",
-                  config.churn.armed() ? "armed" : "off");
-    }
 
     // Every job needs a core for its whole life; churn boots/forks each
     // add at most one, so size the hierarchy for the worst case.
@@ -82,18 +84,6 @@ run_scenario(const ScenarioConfig &config)
         config.churn.count(ChurnAction::Boot) +
         config.churn.count(ChurnAction::Fork));
 
-    // Replay streams come from here; declared first so the TraceFile
-    // outlives the jobs decoding from it (and the System owning them).
-    std::optional<workload::TraceFile> trace;
-    if (!config.trace_replay.empty()) {
-        trace.emplace(workload::TraceFile::load(config.trace_replay));
-        if (trace->job_count() != cores) {
-            ptm_throw("trace %s has %u job streams, scenario needs %u "
-                      "(victim + co-runner workers)",
-                      config.trace_replay.c_str(), trace->job_count(),
-                      cores);
-        }
-    }
     // Declared before the System: the buddy allocators and guest kernel
     // hold raw pointers into the injector, so it must be destroyed last.
     std::optional<FaultInjector> injector;
@@ -133,45 +123,21 @@ run_scenario(const ScenarioConfig &config)
     options.scale = config.scale;
     options.seed = config.seed;
 
-    // Per-job workload source, by mode:
-    //  - replay: decode the trace stream for this job index;
-    //  - record: the real generator wrapped in a recorder (raw pointers
-    //    collected so the trace can be written after the run);
-    //  - otherwise: the generator itself.
-    std::vector<const workload::RecordingWorkload *> recorders;
-    auto job_workload = [&](const std::string &name,
-                            const workload::WorkloadOptions &opt,
-                            unsigned job_index)
-        -> std::unique_ptr<workload::Workload> {
-        if (trace)
-            return trace->make_replayer(job_index);
-        if (!config.trace_record.empty()) {
-            auto rec = std::make_unique<workload::RecordingWorkload>(
-                workload::make_workload(name, opt));
-            recorders.push_back(rec.get());
-            return rec;
-        }
-        return workload::make_workload(name, opt);
-    };
-
     // Only the victim sees the config's workload knobs; co-runners keep
     // their registered defaults (their streams stay identical across
     // victim-param sweeps).
     workload::WorkloadOptions victim_options = options;
     victim_options.params = config.workload_params;
-    Job &victim =
-        system.add_job(job_workload(config.victim, victim_options, 0));
+    Job &victim = system.add_job(
+        workload::make_workload(config.victim, victim_options));
     unsigned worker_index = 0;
     for (const CorunnerSpec &spec : config.corunners) {
         for (unsigned w = 0; w < spec.workers; ++w) {
             workload::WorkloadOptions co_options = options;
             co_options.seed = config.seed + 1000 + (++worker_index);
-            system.add_job(
-                job_workload(spec.name, co_options, worker_index));
+            system.add_job(workload::make_workload(spec.name, co_options));
         }
     }
-    // Co-resident VMs' jobs (never trace-driven: multi-VM runs refuse
-    // record/replay above, so the job index does not matter).
     for (unsigned k = 1; k < config.vms; ++k) {
         const VmSpec spec = config.vm_spec_for(k);
         for (unsigned w = 0; w < spec.workers; ++w) {
@@ -179,8 +145,8 @@ run_scenario(const ScenarioConfig &config)
             vm_options.scale =
                 spec.scale > 0.0 ? spec.scale : config.scale;
             vm_options.seed = config.seed + 10'000ULL * k + w;
-            system.add_job(k,
-                           job_workload(spec.workload, vm_options, 0));
+            system.add_job(
+                k, workload::make_workload(spec.workload, vm_options));
         }
     }
 
@@ -239,8 +205,6 @@ run_scenario(const ScenarioConfig &config)
     }
 
     // Phase B: measure.
-    if (config.cold_measurement)
-        system.flush_microarch();
     if (!config.measure_init)
         system.reset_measurement();
     std::uint64_t remaining = config.measure_ops;
@@ -394,9 +358,6 @@ run_scenario(const ScenarioConfig &config)
                            static_cast<double>(result.ws_guided_sweeps));
     }
 
-    if (!config.trace_record.empty())
-        workload::TraceFile::write(config.trace_record, recorders);
-
     result.total_ops = system.total_steps();
     result.host_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -418,19 +379,25 @@ PairedResult::improvement_percent() const
 PairedResult
 run_paired(ScenarioConfig config)
 {
-    // A config that names no treatment policy (or names the baseline
-    // itself) gets the paper's default comparison: buddy vs PTEMagnet.
-    std::string treatment = config.resolved_policy();
-    if (treatment == "buddy")
-        treatment = "ptemagnet";
-
     PairedResult result;
-    ScenarioConfig baseline = config;
-    baseline.policy_name = "buddy";
-    result.baseline = run_scenario(baseline);
-    config.policy_name = treatment;
-    result.ptemagnet = run_scenario(config);
+    result.baseline = run_scenario(baseline_leg(config));
+    result.ptemagnet = run_scenario(treatment_leg(std::move(config)));
     return result;
+}
+
+ScenarioConfig
+baseline_leg(ScenarioConfig config)
+{
+    config.policy_name = "buddy";
+    return config;
+}
+
+ScenarioConfig
+treatment_leg(ScenarioConfig config)
+{
+    if (config.resolved_policy() == "buddy")
+        config.policy_name = "ptemagnet";
+    return config;
 }
 
 double

@@ -88,17 +88,11 @@ struct ScenarioConfig {
     bool measure_init = false;
     /// Deterministic fault/pressure schedule; inert unless armed().
     FaultPlan fault_plan;
-    /// When set, every job's op stream (ops + context interactions) is
-    /// recorded and written to this .ptt file when the run ends.
+    /// Inert: trace record/replay and the cold-start flush were removed,
+    /// and run_scenario throws a SimError naming whichever of these three
+    /// is set. Kept only because perfbench/scenarios.cpp reads them.
     std::string trace_record;
-    /// When set, jobs replay the named .ptt file's streams instead of
-    /// running their generators. The trace must have exactly one stream
-    /// per configured job (victim first, then co-runner workers in
-    /// order). Because scheduling is done in op space, one recorded
-    /// trace drives every {policy × table} leg identically.
     std::string trace_replay;
-    /// Flush TLBs, PWCs, nested TLBs, and the cache hierarchy at the
-    /// init/measure boundary so measurement starts from a cold machine.
     bool cold_measurement = false;
     /// Co-resident VM count sharing the host (1 = the historic single-VM
     /// scenario). VMs beyond the first are described by vm_specs; when
@@ -109,7 +103,7 @@ struct ScenarioConfig {
     /// OOM-kill); inert unless armed().
     OvercommitPolicy overcommit;
     /// Seeded VM churn schedule (boot/kill/fork storms); inert unless
-    /// armed(). Incompatible with trace record/replay.
+    /// armed().
     ChurnPlan churn;
     /// Per-VM dirty rings + working-set-guided reclaim; inert unless
     /// armed() — disarmed runs are bit-identical to pre-ring builds.
@@ -228,27 +222,6 @@ struct ScenarioConfig {
     with_fault_plan(FaultPlan plan)
     {
         fault_plan = std::move(plan);
-        return *this;
-    }
-    /// Record all job op streams to @p path (.ptt) at run end.
-    ScenarioConfig &
-    with_trace_record(std::string path)
-    {
-        trace_record = std::move(path);
-        return *this;
-    }
-    /// Replay job op streams from @p path (.ptt) instead of generators.
-    ScenarioConfig &
-    with_trace_replay(std::string path)
-    {
-        trace_replay = std::move(path);
-        return *this;
-    }
-    /// Start measurement from flushed microarchitectural state.
-    ScenarioConfig &
-    with_cold_measurement(bool cold = true)
-    {
-        cold_measurement = cold;
         return *this;
     }
     /// Co-locate @p n VMs on the host (clamped to at least 1).
@@ -444,6 +417,13 @@ struct PairedResult {
     double improvement_percent() const;
 };
 PairedResult run_paired(ScenarioConfig config);
+
+/// Baseline leg of a paired run: @p config under "buddy".
+ScenarioConfig baseline_leg(ScenarioConfig config);
+/// Treatment leg of a paired run: @p config under its own policy, or
+/// under PTEMagnet when it names none or names the baseline itself (the
+/// paper's default comparison, buddy vs PTEMagnet).
+ScenarioConfig treatment_leg(ScenarioConfig config);
 
 /// Geometric mean over improvement factors (the paper's "Geomean" bar).
 double geomean_improvement(const std::vector<double> &percents);

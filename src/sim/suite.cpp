@@ -321,21 +321,12 @@ ExperimentSuite::run(const SuiteOptions &options) const
                 // The two legs of a pair are independent runs too; the
                 // pool executes them concurrently, unlike run_paired.
                 pool.submit([&run_leg, &slot]() {
-                    ScenarioConfig config = slot.entry.config;
-                    config.policy_name = "buddy";
-                    run_leg(slot, slot.paired.baseline, std::move(config));
+                    run_leg(slot, slot.paired.baseline,
+                            baseline_leg(slot.entry.config));
                 });
                 pool.submit([&run_leg, &slot]() {
-                    ScenarioConfig config = slot.entry.config;
-                    // Same treatment rule as run_paired: the config's own
-                    // policy, upgraded to PTEMagnet when it IS the
-                    // baseline.
-                    std::string treatment = config.resolved_policy();
-                    if (treatment == "buddy")
-                        treatment = "ptemagnet";
-                    config.policy_name = std::move(treatment);
                     run_leg(slot, slot.paired.ptemagnet,
-                            std::move(config));
+                            treatment_leg(slot.entry.config));
                 });
             } else {
                 pool.submit([&run_leg, &slot]() {

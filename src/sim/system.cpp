@@ -199,14 +199,6 @@ System::set_policy(unsigned index, const std::string &name,
 }
 
 void
-System::enable_ptemagnet(unsigned group_pages)
-{
-    set_policy("ptemagnet",
-               PolicyParams{{"group_pages",
-                             static_cast<double>(group_pages)}});
-}
-
-void
 System::arm_fault_injection(FaultInjector &injector)
 {
     for (auto &slot : slots_)
@@ -669,14 +661,6 @@ System::step(Job &job)
              {"walk_cycles", trans.walk_cycles},
              {"faulted", static_cast<std::uint64_t>(trans.faulted)}});
     }
-}
-
-void
-System::flush_microarch()
-{
-    for (auto &job : jobs_)
-        job->walker_->flush_all();
-    hierarchy_->flush_all();
 }
 
 mmu::FaultOutcome

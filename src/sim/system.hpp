@@ -177,11 +177,6 @@ class System {
         set_policy(0, name, params);
     }
 
-    /// Switch VM 0 to PTEMagnet (call before any job runs). Equivalent
-    /// to set_policy("ptemagnet", {{"group_pages", ...}}).
-    /// @param group_pages reservation granularity (ablation knob).
-    void enable_ptemagnet(unsigned group_pages = kPagesPerReservation);
-
     /**
      * Arm deterministic fault injection: hand @p injector's gates to the
      * host buddy and every guest buddy (current and future VMs) and its
@@ -272,11 +267,6 @@ class System {
      * sink is armed.
      */
     void step(Job &job);
-
-    /// Flush every core's translation caches and the whole cache
-    /// hierarchy: the cold-start state a cold_measurement run measures
-    /// from.
-    void flush_microarch();
 
     /**
      * Round-robin over non-paused, non-finished jobs in slices of

@@ -66,8 +66,8 @@ void register_catalog_workloads();
 void register_serving_workloads();
 
 /// Per-workload seed derivation shared by every registered generator.
-/// Part of the stream identity: golden snapshots and recorded .ptt traces
-/// depend on it, so the formula must never change.
+/// Part of the stream identity: the golden snapshot depends on it, so
+/// the formula must never change.
 std::uint64_t mix_seed(const std::string &name, std::uint64_t seed);
 
 }  // namespace detail

@@ -255,7 +255,7 @@ MetricSet
 run_traced(TraceSink *sink)
 {
     sim::System system(tiny_platform(), 2);
-    system.enable_ptemagnet();
+    system.set_policy("ptemagnet");
     if (sink != nullptr)
         system.set_trace_sink(sink);
     workload::WorkloadOptions options;
@@ -317,7 +317,7 @@ TEST(SystemObservability, TraceCarriesWalkAndFaultEvents)
 TEST(SystemObservability, RegistryCoversEveryLayer)
 {
     sim::System system(tiny_platform(), 1);
-    system.enable_ptemagnet();
+    system.set_policy("ptemagnet");
     workload::WorkloadOptions options;
     options.scale = 0.125;
     sim::Job &job =

@@ -5,9 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "core/ptemagnet_provider.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
+#include "sim/suite.hpp"
 #include "sim/system.hpp"
 #include "workload/catalog.hpp"
 
@@ -172,30 +174,50 @@ TEST(SystemTest, Table1ProtocolShowsFragmentationSlowdown)
               standalone.metrics.get("tlb_misses"));
 }
 
-TEST(SystemTest, ColdMeasurementFlushesOnlyMicroarchState)
+TEST(SystemTest, RemovedTraceAndColdFieldsAreRefused)
 {
-    // cold_measurement flushes TLBs, PWCs, nested TLBs and caches at the
-    // init/measure boundary: the mapping state the run builds is the
-    // warm run's, but the measured window starts from empty TLBs. gcc's
-    // hot set fits the TLBs, so its warm window takes no TLB miss.
-    ScenarioConfig config = small_scenario("gcc", true);
-    config.measure_ops = 20'000;
-    ScenarioResult warm = run_scenario(config);
-    ScenarioResult cold =
-        run_scenario(ScenarioConfig(config).with_cold_measurement());
+    // Trace record/replay and the cold-start flush were removed, but
+    // their ScenarioConfig fields remain. Setting one must fail the run
+    // with a SimError naming the field, never run without it, and in a
+    // suite it must fail only its own entry.
+    struct Case {
+        const char *field;
+        void (*set)(ScenarioConfig &);
+    };
+    const Case cases[] = {
+        {"trace_record",
+         [](ScenarioConfig &c) { c.trace_record = "run.ptt"; }},
+        {"trace_replay",
+         [](ScenarioConfig &c) { c.trace_replay = "run.ptt"; }},
+        {"cold_measurement",
+         [](ScenarioConfig &c) { c.cold_measurement = true; }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.field);
+        ScenarioConfig config = small_scenario("gcc", false);
+        config.measure_ops = 1000;
+        c.set(config);
+        try {
+            run_scenario(config);
+            ADD_FAILURE() << "run_scenario ran with " << c.field << " set";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field),
+                      std::string::npos)
+                << e.what();
+        }
 
-    EXPECT_EQ(cold.victim_ops, warm.victim_ops);
-    EXPECT_EQ(cold.victim_rss_pages, warm.victim_rss_pages);
-    EXPECT_EQ(cold.fragmentation.average_hpte_lines,
-              warm.fragmentation.average_hpte_lines);
-    EXPECT_EQ(cold.fragmentation.fragmented_fraction,
-              warm.fragmentation.fragmented_fraction);
-    EXPECT_EQ(cold.buddy_calls, warm.buddy_calls);
-    EXPECT_EQ(cold.reservations_created, warm.reservations_created);
-    EXPECT_GT(warm.reservations_created, 0u);
-    // The victim walker's TLB misses in the measured window.
-    EXPECT_GT(cold.metrics.get("tlb_misses"),
-              warm.metrics.get("tlb_misses"));
+        ExperimentSuite suite("refused");
+        suite.add("refused", config, RunKind::Single);
+        SuiteOptions options;
+        options.threads = 1;
+        options.write_json = false;
+        options.announce = false;
+        SuiteResult result = suite.run(options);
+        const EntryResult &entry = result.at("refused");
+        EXPECT_TRUE(entry.failed());
+        EXPECT_NE(entry.error.find(c.field), std::string::npos)
+            << entry.error;
+    }
 }
 
 TEST(SystemTest, ForkedJobSharesThenDiverges)
