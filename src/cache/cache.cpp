@@ -22,9 +22,10 @@ Cache::Cache(const CacheGeometry &geometry) : geometry_(geometry)
     }
     set_shift_ = static_cast<unsigned>(std::countr_zero(num_sets_));
     ways_ = geometry_.ways;
+    stride_ = padded_ways(ways_);
     mru_shift_ = 4 * (ways_ - 1);
 
-    tags_.resize(static_cast<std::size_t>(num_sets_) * ways_);
+    tags_.resize(static_cast<std::size_t>(num_sets_) * stride_);
     recency_.resize(num_sets_);
     flush();
 }
@@ -34,7 +35,7 @@ Cache::probe(std::uint64_t line) const
 {
     const std::uint64_t set = line & (num_sets_ - 1);
     const std::uint32_t tag = tag_of(line);
-    return find_way(set_tags(set), tag) < ways_;
+    return find_tag(set_tags(set), stride_, tag, ways_) < ways_;
 }
 
 void

@@ -3,24 +3,26 @@
  * Tag-only set-associative cache model with true-LRU replacement.
  *
  * The simulator only needs hit/miss behaviour and eviction order, never
- * line contents. Tags live in one flat array indexed set * ways + way,
- * so a lookup scans one short contiguous run. Recency lives in a dense
- * per-set array of 64-bit words: nibble r of a set's word holds the way
- * at recency rank r (rank 0 the LRU way, rank ways-1 the MRU way), so
- * the MRU way, the LRU victim and a move to MRU are each a few shifts
- * and masks — no stamps, no clock, no victim scan.
+ * line contents. Tags live in one flat array indexed
+ * set * padded_ways(ways) + way, so a lookup scans one short contiguous
+ * run. Recency lives in a dense per-set array of 64-bit words: nibble r
+ * of a set's word holds the way at recency rank r (rank 0 the LRU way,
+ * rank ways-1 the MRU way), so the MRU way, the LRU victim and a move to
+ * MRU are each a few shifts and masks — no stamps, no clock, no victim
+ * scan.
  *
- * Tags are stored as 32 bits: a tag
- * is line >> log2(sets) and modeled physical memory is bounded far
- * below the 2^(38+log2 sets) bytes a 32-bit tag can name (a panic
- * guards the bound), so narrowing is exact — and it halves the bytes a
- * scan touches (an 8-way set's tags are 32 contiguous bytes). Every tag
- * scan is the scalar first-match loop find_way(): inside the inlined
- * access path it beat an SSE2 vector scan (DESIGN.md §9). A per-set
- * stamp-based LRU policy in tests/cache_test.cpp is the independent
- * reference model the cache is compared against. Write-allocate, no
- * dirty tracking (latency is symmetric for the metrics the paper
- * reports).
+ * Tags are stored as 32 bits: a tag is line >> log2(sets) and modeled
+ * physical memory is bounded far below the 2^(38+log2 sets) bytes a
+ * 32-bit tag can name (a panic guards the bound), so narrowing is exact
+ * — and it halves the bytes a scan touches (an 8-way set's tags are 32
+ * contiguous bytes). Each set's run is padded to a multiple of four ways
+ * with kInvalidTag, so the scan is common/tag_scan.hpp's find_tag(),
+ * four ways per SSE2 compare with no scalar tail. The MRU way is probed
+ * with one scalar compare first, which keeps the common hit off the
+ * vector path (DESIGN.md §9). A per-set stamp-based LRU policy in
+ * tests/cache_test.cpp is the independent reference model the cache is
+ * compared against. Write-allocate, no dirty tracking (latency is
+ * symmetric for the metrics the paper reports).
  */
 #pragma once
 
@@ -33,6 +35,7 @@
 #include "cache/access.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
+#include "common/tag_scan.hpp"
 #include "common/types.hpp"
 #include "obs/stat_registry.hpp"
 
@@ -81,7 +84,8 @@ struct CacheStats {
  */
 class Cache {
   public:
-    /// Tag stored in empty ways. Unreachable by real lines: tag_of()
+    /// Tag stored in empty ways and in each set's padding lanes, which
+    /// find_tag() scans too. Unreachable by real lines: tag_of()
     /// panics on any line whose tag would not fit below it, and every
     /// simulated physical space is orders of magnitude under that bound
     /// (2^38 bytes even for a single-set cache).
@@ -122,9 +126,9 @@ class Cache {
             memo_line_ = line;
             return true;
         }
-        // Empty ways hold kInvalidTag, so the tag compare alone decides:
-        // no separate valid-bit load on the hot scan.
-        const unsigned w = find_way(tags, tag);
+        // Empty ways and padding lanes hold kInvalidTag, so the tag
+        // compare alone decides: no separate valid-bit load on the scan.
+        const unsigned w = find_tag(tags, stride_, tag, ways_);
         if (w < ways_) {
             recency_[set] = promote(order, w);
             stats_.hits[static_cast<unsigned>(kind)].inc();
@@ -165,14 +169,14 @@ class Cache {
     std::uint64_t resident_lines() const;
 
   private:
-    /// The set's ways_ tags.
+    /// The set's stride_ tags: ways_ ways, then padding lanes.
     std::uint32_t *set_tags(std::uint64_t set)
     {
-        return &tags_[static_cast<std::size_t>(set) * ways_];
+        return &tags_[static_cast<std::size_t>(set) * stride_];
     }
     const std::uint32_t *set_tags(std::uint64_t set) const
     {
-        return &tags_[static_cast<std::size_t>(set) * ways_];
+        return &tags_[static_cast<std::size_t>(set) * stride_];
     }
 
     /// Narrow a line's tag to the stored 32 bits, guarding exactness.
@@ -184,18 +188,6 @@ class Cache {
                       geometry_.name.c_str(),
                       static_cast<unsigned long long>(line));
         return static_cast<std::uint32_t>(tag);
-    }
-
-    /// First way of @p tags equal to @p tag, or ways_ when none is. Real
-    /// tags occur at most once per set.
-    unsigned
-    find_way(const std::uint32_t *tags, std::uint32_t tag) const
-    {
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (tags[w] == tag)
-                return w;
-        }
-        return ways_;
     }
 
     /// Recency word @p order with @p way moved to MRU; the ways ranked
@@ -222,8 +214,10 @@ class Cache {
     std::uint64_t num_sets_;
     unsigned set_shift_;
     unsigned ways_;
+    unsigned stride_;     ///< padded_ways(ways_): tags per set in tags_
     unsigned mru_shift_;  ///< 4 * (ways_ - 1): bit offset of the MRU rank
-    /// Tag of way w of set s at [s * ways_ + w]; kInvalidTag when empty.
+    /// Tag of way w of set s at [s * stride_ + w]; kInvalidTag when empty
+    /// and in the padding lanes w >= ways_.
     std::vector<std::uint32_t> tags_;
     /// Recency word per set: nibble r holds the way at rank r, rank 0
     /// LRU. Nibbles at ranks >= ways_ stay zero, so order >> mru_shift_

@@ -5,24 +5,27 @@
  * The TLBs, page-walk caches, and the nested TLB are all instances of this
  * template; they differ only in what the 64-bit key and the value mean.
  *
- * Storage is structure-of-arrays — flat keys/stamps/value arrays indexed
- * by set*ways+way — so the hot lookup scans one contiguous run of keys
- * instead of striding over full entry structs. (An interleaved set-major
- * keys+stamps slab was measured here and lost ~10% of end-to-end
- * simulator throughput: these structures are small enough to be
- * host-cache resident either way, and interleaving doubles the stride
- * between consecutive sets' key runs.) Lookup, probe and invalidate
- * share one scalar first-match loop, find_way() (a vector key scan did
- * not pay; DESIGN.md §9), while insert keeps the single pass that
- * resolves existing-key / free-way / LRU-victim together (inserts run
- * several times per TLB miss). Empty ways hold kInvalidKey, so the scan
- * is a bare key compare with no separate valid-bit load; keys must
- * therefore never be all-ones (page and frame numbers are far below
- * 2^64).
+ * Storage is structure-of-arrays — flat tags/stamps/value arrays indexed
+ * by set*padded_ways(ways)+way — so the hot lookup scans one contiguous
+ * run of tags instead of striding over full entry structs. (An
+ * interleaved set-major keys+stamps slab was measured here and lost ~10%
+ * of end-to-end simulator throughput: these structures are small enough
+ * to be host-cache resident either way, and interleaving doubles the
+ * stride between consecutive sets' key runs.) A key is stored as its
+ * 32-bit tag, key >> log2(sets): page, frame and prefix numbers sit far
+ * below the 2^(32+log2 sets) a tag can name (a panic guards the bound),
+ * so the narrowing is exact. Each set's run is padded to a multiple of
+ * four ways with kInvalidTag, so lookup, probe, invalidate and insert's
+ * existing-key check are all common/tag_scan.hpp's find_tag(), four ways
+ * per SSE2 compare (DESIGN.md §9). Empty ways hold kInvalidTag and stamp
+ * 0, below every resident way's stamp, so insert's victim — the first
+ * empty way, else the LRU way — is the smallest stamp, lowest way on
+ * ties, found by a branch-free scan.
  */
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -30,6 +33,7 @@
 
 #include "common/log.hpp"
 #include "common/stats.hpp"
+#include "common/tag_scan.hpp"
 #include "obs/stat_registry.hpp"
 
 namespace ptm::tlb {
@@ -49,24 +53,33 @@ struct AssocStats {
 template <typename Value>
 class AssocCache {
   public:
-    /// Key stored in empty ways; real keys must never equal it.
-    static constexpr std::uint64_t kInvalidKey = ~0ULL;
+    /// Tag stored in empty ways and in each set's padding lanes; tag_of()
+    /// panics on any key whose tag would reach it.
+    static constexpr std::uint32_t kInvalidTag = ~0U;
+    /// Most ways a set can have: find_tag()'s match mask has one bit per
+    /// way.
+    static constexpr unsigned kMaxWays = 32;
 
     /**
      * @param entries total entry count (must be ways * power-of-two sets)
-     * @param ways    associativity
+     * @param ways    associativity, at most kMaxWays
      */
-    AssocCache(unsigned entries, unsigned ways) : ways_(ways)
+    AssocCache(unsigned entries, unsigned ways)
+        : ways_(ways), stride_(padded_ways(ways))
     {
         if (ways == 0 || entries == 0 || entries % ways != 0)
             ptm_fatal("bad assoc-cache shape: %u entries, %u ways",
                       entries, ways);
+        if (ways > kMaxWays)
+            ptm_fatal("assoc-cache: %u ways exceed the %u a match mask holds",
+                      ways, kMaxWays);
         num_sets_ = entries / ways;
         if ((num_sets_ & (num_sets_ - 1)) != 0)
             ptm_fatal("assoc-cache set count %u not a power of two",
                       num_sets_);
-        const std::size_t n = static_cast<std::size_t>(num_sets_) * ways_;
-        keys_.assign(n, kInvalidKey);
+        set_shift_ = static_cast<unsigned>(std::countr_zero(num_sets_));
+        const std::size_t n = static_cast<std::size_t>(num_sets_) * stride_;
+        tags_.assign(n, kInvalidTag);
         stamps_.assign(n, 0);
         values_.resize(n);
     }
@@ -86,7 +99,8 @@ class AssocCache {
             return memo_value_;
         }
         const std::size_t base = base_of(key);
-        const unsigned w = find_way(base, key);
+        const unsigned w = find_tag(&tags_[base], stride_, tag_of(key),
+                                    ways_);
         if (w < ways_) {
             stamps_[base + w] = ++clock_;
             stats_.hits.inc();
@@ -103,7 +117,8 @@ class AssocCache {
     probe(std::uint64_t key) const
     {
         const std::size_t base = base_of(key);
-        const unsigned w = find_way(base, key);
+        const unsigned w = find_tag(&tags_[base], stride_, tag_of(key),
+                                    ways_);
         if (w < ways_)
             return values_[base + w];
         return std::nullopt;
@@ -114,35 +129,14 @@ class AssocCache {
     insert(std::uint64_t key, const Value &value)
     {
         const std::size_t base = base_of(key);
-        // One pass resolves all three candidates, cheapest first: an
-        // existing entry for the key, the first empty way, and the LRU
-        // way (smallest stamp, lowest way on ties). Inserts run several
-        // times per TLB miss (L1+L2 TLB, PWC levels, nested TLB), so the
-        // single pass beats three separate probes here.
-        unsigned slot = ways_;
-        unsigned first_invalid = ways_;
-        unsigned lru = 0;
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (keys_[base + w] != kInvalidKey) {
-                if (keys_[base + w] == key) {
-                    slot = w;
-                    break;
-                }
-            } else if (first_invalid == ways_) {
-                first_invalid = w;
-            }
-            if (stamps_[base + w] < stamps_[base + lru])
-                lru = w;
-        }
+        const std::uint32_t tag = tag_of(key);
+        unsigned slot = find_tag(&tags_[base], stride_, tag, ways_);
         if (slot == ways_) {
-            if (first_invalid != ways_) {
-                slot = first_invalid;
-            } else {
-                slot = lru;
-                stats_.evictions.inc();
-            }
+            slot = oldest_way(base);
+            // Stamp 0 marks an empty way; any other victim is resident.
+            stats_.evictions.inc(stamps_[base + slot] != 0);
+            tags_[base + slot] = tag;
         }
-        keys_[base + slot] = key;
         values_[base + slot] = value;
         stamps_[base + slot] = ++clock_;
         // The inserted key is now resident and MRU; it also supersedes
@@ -157,21 +151,23 @@ class AssocCache {
     invalidate(std::uint64_t key)
     {
         if (key == memo_key_)
-            memo_key_ = kInvalidKey;
+            memo_key_ = kNoKey;
         const std::size_t base = base_of(key);
-        const unsigned w = find_way(base, key);
-        if (w < ways_)
-            keys_[base + w] = kInvalidKey;
+        const unsigned w = find_tag(&tags_[base], stride_, tag_of(key),
+                                    ways_);
+        if (w < ways_) {
+            tags_[base + w] = kInvalidTag;
+            stamps_[base + w] = 0;
+        }
     }
 
     /// Remove everything (TLB shootdown / context switch without ASIDs).
-    /// Stamps are left in place: stale stamps are never consulted before
-    /// an insert restamps the way (empty ways win over the LRU probe).
     void
     invalidate_all()
     {
-        memo_key_ = kInvalidKey;
-        std::fill(keys_.begin(), keys_.end(), kInvalidKey);
+        memo_key_ = kNoKey;
+        std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+        std::fill(stamps_.begin(), stamps_.end(), 0);
     }
 
     unsigned capacity() const { return num_sets_ * ways_; }
@@ -193,37 +189,62 @@ class AssocCache {
     occupancy() const
     {
         unsigned n = 0;
-        for (std::uint64_t k : keys_)
-            n += static_cast<unsigned>(k != kInvalidKey);
+        for (std::uint32_t tag : tags_)
+            n += static_cast<unsigned>(tag != kInvalidTag);
         return n;
     }
 
   private:
+    /// Memo key meaning "no memoized entry". Real keys are page, frame
+    /// and prefix numbers far below it: an all-ones key's tag would
+    /// overflow the tag store.
+    static constexpr std::uint64_t kNoKey = ~0ULL;
+
     std::size_t base_of(std::uint64_t key) const
     {
-        return static_cast<std::size_t>(key & (num_sets_ - 1)) * ways_;
+        return static_cast<std::size_t>(key & (num_sets_ - 1)) * stride_;
     }
 
-    /// Way of the set starting at @p base that holds @p key, or ways_.
-    unsigned
-    find_way(std::size_t base, std::uint64_t key) const
+    /// Narrow a key's tag to the stored 32 bits, guarding exactness.
+    std::uint32_t
+    tag_of(std::uint64_t key) const
     {
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (keys_[base + w] == key)
-                return w;
+        const std::uint64_t tag = key >> set_shift_;
+        if (tag >= kInvalidTag)
+            ptm_panic("assoc-cache: key %llu overflows the 32-bit tag store",
+                      static_cast<unsigned long long>(key));
+        return static_cast<std::uint32_t>(tag);
+    }
+
+    /// Way of the set at @p base with the smallest stamp, lowest way on
+    /// ties: its first empty way (stamp 0), else its LRU way.
+    unsigned
+    oldest_way(std::size_t base) const
+    {
+        unsigned victim = 0;
+        std::uint64_t oldest = stamps_[base];
+        for (unsigned w = 1; w < ways_; ++w) {
+            const std::uint64_t stamp = stamps_[base + w];
+            victim = stamp < oldest ? w : victim;
+            oldest = stamp < oldest ? stamp : oldest;
         }
-        return ways_;
+        return victim;
     }
 
     unsigned ways_;
+    unsigned stride_;  ///< padded_ways(ways_): entries per set in the arrays
     unsigned num_sets_;
+    unsigned set_shift_;
     std::uint64_t clock_ = 0;
-    std::vector<std::uint64_t> keys_;
+    /// Tag of way w of set s at [s * stride_ + w]; kInvalidTag when empty
+    /// and in the padding lanes w >= ways_.
+    std::vector<std::uint32_t> tags_;
+    /// Last-use stamp per way from clock_, 0 when empty.
     std::vector<std::uint64_t> stamps_;
     std::vector<Value> values_;
     /// Key of the most recent hit/insert (resident and MRU by
-    /// construction); kInvalidKey when no such guarantee holds.
-    std::uint64_t memo_key_ = kInvalidKey;
+    /// construction); kNoKey when no such guarantee holds.
+    std::uint64_t memo_key_ = kNoKey;
     Value memo_value_{};
     AssocStats stats_;
 };

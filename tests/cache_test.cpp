@@ -240,6 +240,17 @@ TEST(CacheDeathTest, MoreThanSixteenWaysIsFatal)
                 ::testing::ExitedWithCode(1), "wide: 17 ways exceed");
 }
 
+TEST(CacheDeathTest, TagOverflowPanics)
+{
+    // One 4-way set: a line's tag is the whole line number, and the
+    // largest storable tag is one below the invalid tag ~0.
+    Cache cache({"tiny", 4 * kCacheLineSize, 4});
+    EXPECT_FALSE(cache.access(0xfffffffeULL, AccessKind::Data));
+    EXPECT_TRUE(cache.probe(0xfffffffeULL));
+    EXPECT_DEATH(cache.access(0xffffffffULL, AccessKind::Data),
+                 "tiny: line 4294967295 overflows the 32-bit tag store");
+}
+
 TEST(CacheDeathTest, NonPowerOfTwoSetCountIsFatal)
 {
     // 12 KiB, 4-way, 64B lines -> 48 sets.

@@ -1,16 +1,20 @@
 /**
  * @file
- * Unit tests for src/common: address arithmetic, RNG, stats primitives.
+ * Unit tests for src/common: address arithmetic, RNG, stats primitives,
+ * the set tag scan.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/tag_scan.hpp"
 #include "common/types.hpp"
 
 namespace ptm {
@@ -206,6 +210,86 @@ TEST(Error, SimErrorIsARuntimeError)
     // Generic handlers (the suite driver's safety nets) must be able to
     // catch it as std::exception.
     EXPECT_THROW(ptm_throw("x"), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------
+// find_tag() against find_tag_scalar(), over the padded runs that
+// cache::Cache and tlb::AssocCache scan: padding lanes hold the invalid
+// tag ~0, which no searched tag equals.
+
+constexpr std::uint32_t kPad = ~0U;
+
+TEST(TagScan, PaddedWaysRoundsUpToWholeCompares)
+{
+    EXPECT_EQ(padded_ways(1), 4u);
+    EXPECT_EQ(padded_ways(4), 4u);
+    EXPECT_EQ(padded_ways(5), 8u);
+    EXPECT_EQ(padded_ways(12), 12u);
+    EXPECT_EQ(padded_ways(16), 16u);
+    EXPECT_EQ(padded_ways(32), 32u);
+}
+
+TEST(TagScan, MatchAtEveryPositionAgreesWithScalar)
+{
+    for (unsigned stride : {4u, 8u, 12u, 16u}) {
+        SCOPED_TRACE("stride " + std::to_string(stride));
+        std::vector<std::uint32_t> tags(stride);
+        for (unsigned w = 0; w < stride; ++w)
+            tags[w] = 1000 + 7 * w;
+        for (unsigned w = 0; w < stride; ++w) {
+            EXPECT_EQ(find_tag(tags.data(), stride, tags[w], stride), w);
+            EXPECT_EQ(find_tag_scalar(tags.data(), stride, tags[w], stride),
+                      w);
+        }
+        // A repeated tag reports its first way, in any group.
+        for (unsigned first = 0; first < stride; ++first) {
+            for (unsigned later = first + 1; later < stride; ++later) {
+                std::vector<std::uint32_t> dup = tags;
+                dup[later] = dup[first];
+                ASSERT_EQ(find_tag(dup.data(), stride, dup[first], stride),
+                          first)
+                    << "first " << first << ", later " << later;
+            }
+        }
+    }
+}
+
+TEST(TagScan, PaddingLanesNeverMatch)
+{
+    // Every associativity a padded run can hold, ways filled with real
+    // tags (some repeated) and the rest padding: each real tag's search
+    // agrees with the scalar loop over the ways alone, so no result lies
+    // in the padding.
+    Rng rng(7);
+    for (unsigned ways = 1; ways <= 16; ++ways) {
+        SCOPED_TRACE(std::to_string(ways) + " ways");
+        const unsigned stride = padded_ways(ways);
+        std::vector<std::uint32_t> tags(stride, kPad);
+        for (int round = 0; round < 200; ++round) {
+            for (unsigned w = 0; w < ways; ++w)
+                tags[w] = static_cast<std::uint32_t>(rng.below(2 * ways));
+            for (std::uint32_t tag = 0; tag < 2 * ways + 1; ++tag) {
+                const unsigned w = find_tag(tags.data(), stride, tag, ways);
+                ASSERT_EQ(w, find_tag_scalar(tags.data(), ways, tag, ways))
+                    << "tag " << tag;
+                ASSERT_LE(w, ways);
+            }
+        }
+    }
+}
+
+TEST(TagScan, NoMatchReturnsNone)
+{
+    for (unsigned stride : {4u, 8u, 12u, 16u}) {
+        const std::vector<std::uint32_t> tags(stride, kPad);
+        EXPECT_EQ(find_tag(tags.data(), stride, 5, 99), 99u);
+        EXPECT_EQ(find_tag_scalar(tags.data(), stride, 5, 99), 99u);
+        std::vector<std::uint32_t> full(stride);
+        for (unsigned w = 0; w < stride; ++w)
+            full[w] = w;
+        EXPECT_EQ(find_tag(full.data(), stride, stride, 7), 7u);
+        EXPECT_EQ(find_tag(full.data(), stride, kPad - 1, 7), 7u);
+    }
 }
 
 TEST(AssertDeathTest, MessageCarriesConditionAndContext)

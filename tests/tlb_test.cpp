@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -90,10 +91,30 @@ TEST(AssocCacheDeathTest, NonPowerOfTwoSetCountIsFatal)
                 ::testing::ExitedWithCode(1), "not a power of two");
 }
 
+TEST(AssocCacheDeathTest, MoreThanThirtyTwoWaysIsFatal)
+{
+    // One 33-way set: the tag scan's match mask has 32 bits.
+    EXPECT_EXIT(AssocCache<int> cache(33, 33),
+                ::testing::ExitedWithCode(1), "33 ways exceed the 32");
+}
+
+TEST(AssocCacheDeathTest, TagOverflowPanics)
+{
+    // 8 entries, 4 ways -> 2 sets, so a key's tag is key >> 1. The
+    // largest storable tag is one below the invalid tag ~0.
+    AssocCache<int> cache(8, 4);
+    cache.insert(0x1fffffffdULL, 1);
+    EXPECT_TRUE(cache.probe(0x1fffffffdULL).has_value());
+    EXPECT_DEATH(cache.insert(0x1fffffffeULL, 2),
+                 "key 8589934590 overflows the 32-bit tag store");
+    EXPECT_DEATH(cache.lookup(1ULL << 40),
+                 "overflows the 32-bit tag store");
+}
+
 // ---------------------------------------------------------------------
-// Reference-model comparison: the single-pass SoA insert/lookup against
-// the obvious per-set entry-struct implementation, on a randomized mix
-// of lookups, inserts, and invalidations.
+// Reference-model comparison: the SoA tag-scan insert/lookup against the
+// obvious per-set entry-struct implementation, on a randomized mix of
+// lookups, inserts, invalidations and full flushes.
 
 class ReferenceAssoc {
   public:
@@ -155,6 +176,15 @@ class ReferenceAssoc {
         }
     }
 
+    void
+    invalidate_all()
+    {
+        for (auto &set : sets_) {
+            for (Entry &e : set)
+                e.valid = false;
+        }
+    }
+
     std::optional<std::uint64_t>
     probe(std::uint64_t key) const
     {
@@ -199,45 +229,60 @@ class ReferenceAssoc {
 
 TEST(AssocCache, RandomizedTraceMatchesReferenceModel)
 {
-    // 64 entries, 4 ways -> 16 sets; a 256-key trace keeps sets full and
-    // evicting. Both models see the identical operation sequence.
-    AssocCache<std::uint64_t> flat(64, 4);
-    ReferenceAssoc ref(64, 4);
+    // 16 sets at each associativity; a key pool four times the capacity
+    // keeps sets full and evicting. Both models see the identical
+    // operation sequence. 1, 2 and 3 ways leave padding lanes in each
+    // set's tag run; a rare invalidate_all (~0.2% of ops) makes sets
+    // refill from empty, where the reference takes the first invalid way
+    // and AssocCache the smallest stamp (0 when empty).
+    for (unsigned ways : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(std::to_string(ways) + " ways");
+        const unsigned entries = 16 * ways;
+        const std::uint64_t pool = 4 * entries;
+        AssocCache<std::uint64_t> flat(entries, ways);
+        ReferenceAssoc ref(entries, ways);
 
-    ptm::Rng trace(42);
-    for (int i = 0; i < 20000; ++i) {
-        std::uint64_t key = trace.below(256);
-        double roll = trace.uniform();
-        if (roll < 0.45) {
-            auto flat_v = flat.lookup(key);
-            auto ref_v = ref.lookup(key);
-            ASSERT_EQ(flat_v.has_value(), ref_v.has_value())
-                << "diverged at op " << i << ", key " << key;
-            if (flat_v) {
-                ASSERT_EQ(*flat_v, *ref_v) << "op " << i;
+        ptm::Rng trace(42);
+        for (int i = 0; i < 20000; ++i) {
+            std::uint64_t key = trace.below(pool);
+            double roll = trace.uniform();
+            if (roll < 0.002) {
+                flat.invalidate_all();
+                ref.invalidate_all();
+            } else if (roll < 0.45) {
+                auto flat_v = flat.lookup(key);
+                auto ref_v = ref.lookup(key);
+                ASSERT_EQ(flat_v.has_value(), ref_v.has_value())
+                    << "diverged at op " << i << ", key " << key;
+                if (flat_v) {
+                    ASSERT_EQ(*flat_v, *ref_v) << "op " << i;
+                }
+            } else if (roll < 0.90) {
+                std::uint64_t value = key * 3 + 1;
+                flat.insert(key, value);
+                ref.insert(key, value);
+            } else {
+                flat.invalidate(key);
+                ref.invalidate(key);
             }
-        } else if (roll < 0.90) {
-            std::uint64_t value = key * 3 + 1;
-            flat.insert(key, value);
-            ref.insert(key, value);
-        } else {
-            flat.invalidate(key);
-            ref.invalidate(key);
         }
-    }
-    EXPECT_EQ(flat.stats().hits.value(), ref.hits());
-    EXPECT_EQ(flat.stats().misses.value(), ref.misses());
-    EXPECT_EQ(flat.stats().evictions.value(), ref.evictions());
-    EXPECT_EQ(flat.occupancy(), ref.occupancy());
-    EXPECT_GT(ref.evictions(), 0u);
+        EXPECT_EQ(flat.stats().hits.value(), ref.hits());
+        EXPECT_EQ(flat.stats().misses.value(), ref.misses());
+        EXPECT_EQ(flat.stats().evictions.value(), ref.evictions());
+        EXPECT_EQ(flat.occupancy(), ref.occupancy());
+        EXPECT_GT(ref.hits(), 0u);
+        EXPECT_GT(ref.evictions(), 0u);
 
-    // Every key's end state agrees through the non-updating probe path.
-    for (std::uint64_t key = 0; key < 256; ++key) {
-        auto flat_v = flat.probe(key);
-        auto ref_v = ref.probe(key);
-        ASSERT_EQ(flat_v.has_value(), ref_v.has_value()) << "key " << key;
-        if (flat_v) {
-            EXPECT_EQ(*flat_v, *ref_v) << "key " << key;
+        // Every key's end state agrees through the non-updating probe
+        // path.
+        for (std::uint64_t key = 0; key < pool; ++key) {
+            auto flat_v = flat.probe(key);
+            auto ref_v = ref.probe(key);
+            ASSERT_EQ(flat_v.has_value(), ref_v.has_value())
+                << "key " << key;
+            if (flat_v) {
+                EXPECT_EQ(*flat_v, *ref_v) << "key " << key;
+            }
         }
     }
 }
