@@ -2,15 +2,17 @@
 
 #include <array>
 #include <bit>
+#include <limits>
 
 #include "common/log.hpp"
 
 namespace ptm::core {
 
 /**
- * Radix node. Nodes are created on demand and live as long as the tree;
- * a reservation occupies an entry of its level-3 node, so creating or
- * deleting one allocates and frees nothing.
+ * Radix node, 4 KiB at every level: 512 child pointers, or at level 3
+ * 512 eight-byte entries. Nodes are created on demand and live as long
+ * as the tree; a reservation occupies an entry of its level-3 node, so
+ * creating or deleting one allocates and frees nothing.
  */
 template <unsigned Level>
 struct Part::Node {
@@ -103,7 +105,7 @@ Part::claim(std::uint64_t group, unsigned offset)
 
     ClaimResult result;
     result.found = true;
-    result.gfn = entry->base_gfn + offset;
+    result.gfn = std::uint64_t{entry->base_gfn} + offset;
     std::uint32_t bit = std::uint32_t{1} << offset;
     if (entry->mask & bit) {
         // A refault of a page the reservation already handed out: report
@@ -128,6 +130,11 @@ std::uint64_t
 Part::create(std::uint64_t group, std::uint64_t base_gfn, unsigned offset)
 {
     ptm_assert(offset < pages_per_group_);
+    if (base_gfn > std::numeric_limits<std::uint32_t>::max())
+        ptm_panic("PaRT: base gfn %llu of group %llu overflows the 32-bit "
+                  "entry",
+                  static_cast<unsigned long long>(base_gfn),
+                  static_cast<unsigned long long>(group));
 
     Node<1> &mid = child_or_new(root_->children[index_at(group, 0)]);
     Node<2> &low = child_or_new(mid.children[index_at(group, 1)]);
@@ -138,7 +145,8 @@ Part::create(std::uint64_t group, std::uint64_t base_gfn, unsigned offset)
                   static_cast<unsigned long long>(group));
     }
 
-    entry = {base_gfn, std::uint32_t{1} << offset};
+    entry = {static_cast<std::uint32_t>(base_gfn),
+             std::uint32_t{1} << offset};
     ++live_reservations_;
     unmapped_reserved_ += pages_per_group_ - 1;
     return base_gfn + offset;

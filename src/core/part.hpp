@@ -5,7 +5,9 @@
  * A per-process 4-level radix tree indexed by the 32 KiB-aligned group
  * number of a guest-virtual page (gvpn >> 3). Each level-3 slot describes
  * one reservation: the base guest frame of an aligned 8-frame chunk and
- * an 8-bit mask of which pages in the group the application has mapped.
+ * an 8-bit mask of which pages in the group the application has mapped,
+ * in one 8-byte entry (a 32-bit base frame beside a 32-bit mask, so a
+ * level-3 node is 4 KiB, like every other).
  *
  * Not thread-safe; the owning kernel serializes updates. The paper's
  * kernel patch takes a lock per radix node because Linux faults in
@@ -77,7 +79,8 @@ class Part {
     /**
      * Fault slow path, after a failed claim: record a new reservation for
      * @p group with chunk base @p base_gfn, immediately claiming
-     * @p offset.
+     * @p offset. Panics when @p base_gfn does not fit the entry's 32
+     * bits (a guest of 2^32 frames is 16 TiB).
      * @return frame for the faulting page.
      */
     std::uint64_t create(std::uint64_t group, std::uint64_t base_gfn,
@@ -118,9 +121,10 @@ class Part {
   private:
     /// One reservation, stored inline in a level-3 node; mask 0 = empty.
     struct Entry {
-        std::uint64_t base_gfn = 0;
+        std::uint32_t base_gfn = 0;
         std::uint32_t mask = 0;
     };
+    static_assert(sizeof(Entry) == 8, "an entry is a base frame and a mask");
 
     /// Levels 0..2 hold child pointers only; level 3 holds the entries.
     template <unsigned Level>

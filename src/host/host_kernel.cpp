@@ -136,7 +136,7 @@ HostKernel::destroy_vm(VmInstance &vm)
     const std::uint64_t limit = base + memory_.frame_count();
     for (std::uint64_t frame = base; frame < limit; ++frame) {
         const mem::FrameInfo &info = memory_.info(frame);
-        if (info.owner == id && info.use == mem::FrameUse::Data) {
+        if (info.owner() == id && info.use == mem::FrameUse::Data) {
             memory_.set_use(frame, 1, mem::FrameUse::Free);
             buddy_.free(frame);
             ++data_frames;

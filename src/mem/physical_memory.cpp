@@ -32,7 +32,9 @@ PhysicalMemory::set_use(std::uint64_t frame, std::uint64_t count,
     for (std::uint64_t i = 0; i < count; ++i) {
         FrameInfo &fi = frames_[index_of(frame + i)];
         fi.use = use;
-        fi.owner = (use == FrameUse::Free) ? -1 : owner;
+        fi.owner_plus_one_ = (use == FrameUse::Free)
+                                 ? 0
+                                 : static_cast<std::uint32_t>(owner) + 1;
     }
 }
 
@@ -47,7 +49,7 @@ PhysicalMemory::count_use(FrameUse use, std::int32_t owner) const
 {
     std::uint64_t n = 0;
     for (const FrameInfo &fi : frames_) {
-        if (fi.use == use && (owner < 0 || fi.owner == owner))
+        if (fi.use == use && (owner < 0 || fi.owner() == owner))
             ++n;
     }
     return n;

@@ -6,6 +6,8 @@
  * translation/caching behaviour — but kernels, tests, and the examples need
  * to know what every frame is currently used for. PhysicalMemory keeps one
  * small descriptor per frame, the analogue of Linux's `struct page` array.
+ * A descriptor of all-zero bytes is a free frame with no owner, so a fresh
+ * frame space is one zero fill.
  */
 #pragma once
 
@@ -17,8 +19,10 @@
 
 namespace ptm::mem {
 
-/// What a physical frame is currently used for.
-enum class FrameUse : std::uint8_t {
+/// What a physical frame is currently used for. Four bytes wide so a
+/// FrameInfo has no padding, and the compiler fills a fresh descriptor
+/// array with wide zero stores.
+enum class FrameUse : std::uint32_t {
     Free,       ///< on the buddy free lists
     Data,       ///< mapped application data page
     PageTable,  ///< holds a page-table node
@@ -27,9 +31,21 @@ enum class FrameUse : std::uint8_t {
 };
 
 /// Per-frame descriptor.
-struct FrameInfo {
+class FrameInfo {
+  public:
     FrameUse use = FrameUse::Free;
-    std::int32_t owner = -1;  ///< owning process id, -1 for none/kernel
+
+    /// Owning process id, -1 for none/kernel.
+    std::int32_t
+    owner() const
+    {
+        return static_cast<std::int32_t>(owner_plus_one_ - 1);
+    }
+
+  private:
+    friend class PhysicalMemory;
+
+    std::uint32_t owner_plus_one_ = 0;  ///< owner + 1: 0 for none
 };
 
 /**

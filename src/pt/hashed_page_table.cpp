@@ -63,16 +63,28 @@ HashedPageTable::hash_vpn(std::uint64_t vpn)
 }
 
 std::uint64_t
+HashedPageTable::tag_of(std::uint64_t vpn)
+{
+    const std::uint64_t tag = vpn + 1;
+    if (!live(tag))
+        ptm_panic("hashed page table: vpn %llu has no tag (its tag "
+                  "would read as an empty slot or a tombstone)",
+                  static_cast<unsigned long long>(vpn));
+    return tag;
+}
+
+std::uint64_t
 HashedPageTable::find_slot(std::uint64_t vpn) const
 {
+    const std::uint64_t tag = tag_of(vpn);
     std::uint64_t home = hash_vpn(vpn) & (slots_.size() - 1);
     for (unsigned i = 0; i < kMaxWalkSteps; ++i) {
         std::uint64_t s = probe_slot(home, i);
-        const Slot &slot = slots_[s];
-        if (slot.state == SlotState::Empty)
-            return kNpos;
-        if (slot.state == SlotState::Occupied && slot.vpn == vpn)
+        const std::uint64_t t = slots_[s].tag;
+        if (t == tag)
             return s;
+        if (t == kEmpty)
+            return kNpos;
     }
     // Insertion enforces the probe bound, so a vpn absent within it is
     // absent outright.
@@ -80,13 +92,13 @@ HashedPageTable::find_slot(std::uint64_t vpn) const
 }
 
 bool
-HashedPageTable::place(std::vector<Slot> &slots, std::uint64_t vpn, Pte pte)
+HashedPageTable::place(std::vector<Slot> &slots, const Slot &slot)
 {
-    std::uint64_t home = hash_vpn(vpn) & (slots.size() - 1);
+    std::uint64_t home = hash_vpn(slot.tag - 1) & (slots.size() - 1);
     for (unsigned i = 0; i < kMaxWalkSteps; ++i) {
         std::uint64_t s = (home + i) & (slots.size() - 1);
-        if (slots[s].state == SlotState::Empty) {
-            slots[s] = Slot{vpn, pte, SlotState::Occupied};
+        if (slots[s].tag == kEmpty) {
+            slots[s] = slot;
             return true;
         }
     }
@@ -118,9 +130,9 @@ HashedPageTable::grow()
         std::vector<Slot> new_slots(new_frame_count * kSlotsPerFrame);
         bool fits = true;
         for (const Slot &slot : slots_) {
-            if (slot.state != SlotState::Occupied)
+            if (!live(slot.tag))
                 continue;
-            if (!place(new_slots, slot.vpn, slot.pte)) {
+            if (!place(new_slots, slot)) {
                 fits = false;
                 break;
             }
@@ -148,11 +160,11 @@ HashedPageTable::map(std::uint64_t vpn, const PteFields &fields)
 {
     PteFields with_present = fields;
     with_present.present = true;
-    Pte pte = Pte::encode(with_present);
+    const Slot entry{tag_of(vpn), Pte::encode(with_present)};
 
     std::uint64_t existing = find_slot(vpn);
     if (existing != kNpos) {
-        slots_[existing].pte = pte;
+        slots_[existing] = entry;
         return true;
     }
 
@@ -167,11 +179,11 @@ HashedPageTable::map(std::uint64_t vpn, const PteFields &fields)
         for (unsigned i = 0; i < kMaxWalkSteps; ++i) {
             std::uint64_t s = probe_slot(home, i);
             Slot &slot = slots_[s];
-            if (slot.state == SlotState::Occupied)
+            if (live(slot.tag))
                 continue;
-            if (slot.state == SlotState::Empty)
+            if (slot.tag == kEmpty)
                 ++used_;
-            slot = Slot{vpn, pte, SlotState::Occupied};
+            slot = entry;
             ++occupied_;
             return true;
         }
@@ -189,7 +201,7 @@ HashedPageTable::unmap(std::uint64_t vpn)
     if (s == kNpos)
         return;
     // Tombstone, not Empty: later entries probe through this slot.
-    slots_[s] = Slot{0, Pte{}, SlotState::Tombstone};
+    slots_[s] = Slot{kTombstone, Pte{}};
     --occupied_;
 }
 
@@ -217,6 +229,7 @@ HashedPageTable::update(std::uint64_t vpn, const PteFields &fields)
 WalkResult
 HashedPageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
 {
+    const std::uint64_t tag = tag_of(vpn);
     std::uint64_t home = hash_vpn(vpn) & (slots_.size() - 1);
     unsigned n = 0;
     for (unsigned i = 0; i < kMaxWalkSteps; ++i) {
@@ -227,21 +240,19 @@ HashedPageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
         step.node_frame = frames_[s / kSlotsPerFrame];
         step.index = static_cast<unsigned>(s % kSlotsPerFrame);
         step.entry_paddr = slot_paddr(s);
-        if (slot.state == SlotState::Occupied && slot.vpn == vpn) {
+        if (slot.tag == tag) {
             step.pte = slot.pte;
             return WalkResult{.steps = n, .complete = true};
         }
-        if (slot.state == SlotState::Empty) {
+        if (slot.tag == kEmpty) {
             step.pte = Pte{};
             return WalkResult{.steps = n, .complete = false};
         }
-        // Non-matching entry or deletion marker: the walker reads a
-        // foreign slot and keeps probing; report it as present so the
-        // generic walk loop does not mistake it for a fault.
-        step.pte = Pte::encode(
-            {.present = true,
-             .frame = slot.state == SlotState::Occupied ? slot.pte.frame()
-                                                        : 0});
+        // Non-matching entry or deletion marker (whose PTE is Pte{}, so
+        // frame 0): the walker reads a foreign slot and keeps probing;
+        // report it as present so the generic walk loop does not mistake
+        // it for a fault.
+        step.pte = Pte::encode({.present = true, .frame = slot.pte.frame()});
     }
     // Probe bound exhausted without a match. Mapped vpns never get here
     // (insertion enforces the bound), so signal a fault via a final

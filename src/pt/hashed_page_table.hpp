@@ -21,7 +21,9 @@
  * Modeling note: slots hold an 8-byte PTE in simulated physical memory;
  * the vpn tag is tracked model-side (a real HPT spends a second word on
  * the tag — we charge one touch per probe, the dominant effect either
- * way).
+ * way). A host slot is those two words and nothing more: the tag is
+ * vpn + 1, so 0 marks a never-used slot and all-ones a tombstone, and
+ * the two vpns whose tag would read as either are refused.
  */
 #pragma once
 
@@ -67,13 +69,27 @@ class HashedPageTable final : public TranslationTable {
     std::uint64_t entry_count() const { return occupied_; }
 
   private:
-    enum class SlotState : std::uint8_t { Empty, Occupied, Tombstone };
+    /// Tag of a never-used slot. Stops a probe sequence.
+    static constexpr std::uint64_t kEmpty = 0;
+    /// Tag of an unmapped slot. Probe sequences run through it.
+    static constexpr std::uint64_t kTombstone = ~std::uint64_t{0};
 
+    /// One slot: the vpn's tag and its PTE (Pte{} in a tombstone).
     struct Slot {
-        std::uint64_t vpn = 0;
+        std::uint64_t tag = kEmpty;
         Pte pte;
-        SlotState state = SlotState::Empty;
     };
+    static_assert(sizeof(Slot) == 16, "a slot is a tag word and a PTE");
+
+    /// True for the tag of a slot that holds a mapping.
+    static bool live(std::uint64_t tag)
+    {
+        return tag != kEmpty && tag != kTombstone;
+    }
+    /// Tag of @p vpn; panics for the two vpns whose tag would read as
+    /// empty or tombstone (no page number of a 64-bit address reaches
+    /// them).
+    static std::uint64_t tag_of(std::uint64_t vpn);
 
     static std::uint64_t hash_vpn(std::uint64_t vpn);
     std::uint64_t probe_slot(std::uint64_t home, unsigned i) const
@@ -93,9 +109,9 @@ class HashedPageTable final : public TranslationTable {
     /// frame-allocation failure (the table is left unchanged).
     bool grow();
 
-    /// Place (vpn, pte) into @p slots under the probe bound; false if the
-    /// chain would exceed it.
-    static bool place(std::vector<Slot> &slots, std::uint64_t vpn, Pte pte);
+    /// Place the live slot @p slot into @p slots under the probe bound;
+    /// false if the chain would exceed it.
+    static bool place(std::vector<Slot> &slots, const Slot &slot);
 
     FrameSource source_;
     std::vector<std::uint64_t> frames_;  ///< bucket frames, in slot order

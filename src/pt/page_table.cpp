@@ -1,113 +1,183 @@
 #include "pt/page_table.hpp"
 
+#include <array>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
 
 namespace ptm::pt {
 
+/**
+ * Interior node: each entry pairs the PTE with the owning pointer to its
+ * child, adjacent so a walk step reads the entry and follows the child
+ * from the same host cache line. A present entry always has its child:
+ * both are written once, when the child is created, and neither changes
+ * until the table is destroyed.
+ */
+template <unsigned Level>
+struct PageTable::Node {
+    static constexpr unsigned kLevel = Level;
+
+    struct Slot {
+        Pte pte;
+        std::unique_ptr<Node<Level + 1>> child;
+    };
+    std::array<Slot, kFanout> slots{};
+};
+
+/// Leaf node: the 512 PTEs alone, one simulated frame's worth of bytes.
+template <>
+struct PageTable::Node<kPtLevels - 1> {
+    static constexpr unsigned kLevel = kPtLevels - 1;
+
+    std::array<Pte, kFanout> ptes{};
+};
+
+namespace {
+
+/**
+ * @p slot's child, created with a frame from @p frames when missing;
+ * nullptr when the frame source is exhausted.
+ */
+template <class Slot>
+auto *
+child_or_new(Slot &slot, const FrameSource &frames, std::uint64_t &nodes)
+{
+    using Child = typename decltype(Slot::child)::element_type;
+    if (!slot.child) {
+        std::optional<std::uint64_t> frame = frames.allocate();
+        if (!frame)
+            return static_cast<Child *>(nullptr);
+        // The entry is the only record of the child's frame.
+        if (*frame > (Pte::kFrameMask >> kPageShift))
+            ptm_panic("page-table node frame %llu does not fit a PTE",
+                      static_cast<unsigned long long>(*frame));
+        slot.child = std::make_unique<Child>();
+        slot.pte = Pte::encode({.present = true, .frame = *frame});
+        ++nodes;
+    }
+    return slot.child.get();
+}
+
+/// Return the frames of @p node (at @p frame) and everything under it,
+/// children in index order before their parent.
+template <class Node>
+void
+release_subtree(const Node &node, std::uint64_t frame,
+                const FrameSource &frames)
+{
+    if constexpr (Node::kLevel + 1 < kPtLevels) {
+        for (const auto &slot : node.slots) {
+            if (slot.child)
+                release_subtree(*slot.child, slot.pte.frame(), frames);
+        }
+    }
+    frames.release(frame);
+}
+
+/// Record the walk steps from @p node (at @p frame) down; returns the
+/// step count.
+template <class Node>
+unsigned
+walk_from(const Node &node, std::uint64_t frame, std::uint64_t vpn,
+          WalkSteps &steps)
+{
+    constexpr unsigned level = Node::kLevel;
+    const unsigned index = PageTable::index_at(vpn, level);
+    WalkStep &step = steps[level];
+    step.level = level;
+    step.node_frame = frame;
+    step.index = index;
+    step.entry_paddr = frame * kPageSize + index * kPteSize;
+    if constexpr (level + 1 == kPtLevels) {
+        step.pte = node.ptes[index];
+        return kPtLevels;
+    } else {
+        const auto &slot = node.slots[index];
+        step.pte = slot.pte;
+        if (!slot.pte.present())
+            return level + 1;
+        return walk_from(*slot.child, slot.pte.frame(), vpn, steps);
+    }
+}
+
+}  // namespace
+
 PageTable::PageTable(FrameSource frames) : frames_(std::move(frames))
 {
+    static_assert(sizeof(Leaf) == kPageSize,
+                  "a leaf is exactly the frame it simulates");
     if (!frames_.allocate || !frames_.release)
         ptm_fatal("page table requires a complete frame source");
-    root_ = make_node();
-    if (!root_) {
+    std::optional<std::uint64_t> root = frames_.allocate();
+    if (!root) {
         // Recoverable: booting a table into an exhausted frame pool is an
         // admission failure (caller's host may be overcommitted), not a
         // programming error.
         ptm_throw("cannot allocate page-table root node: frame source "
                   "exhausted");
     }
+    root_ = std::make_unique<Node<0>>();
+    root_frame_ = *root;
+    node_count_ = 1;
 }
 
 PageTable::~PageTable()
 {
-    release_node(root_.get(), 0);
-    root_.reset();
+    release_subtree(*root_, root_frame_, frames_);
 }
 
-std::unique_ptr<PageTable::Node>
-PageTable::make_node()
+PageTable::LeafRef
+PageTable::find_leaf(std::uint64_t vpn) const
 {
-    std::optional<std::uint64_t> frame = frames_.allocate();
-    if (!frame)
-        return nullptr;
-    auto node = std::make_unique<Node>();
-    node->frame = *frame;
-    ++node_count_;
-    return node;
-}
-
-void
-PageTable::release_node(Node *node, unsigned level)
-{
-    if (node == nullptr)
-        return;
-    if (level + 1 < kPtLevels) {
-        for (auto &slot : node->slots)
-            release_node(slot.child.get(), level + 1);
-    }
-    frames_.release(node->frame);
-    --node_count_;
-}
-
-const PageTable::Node *
-PageTable::descend(std::uint64_t vpn, unsigned to_level) const
-{
-    const Node *node = root_.get();
-    for (unsigned level = 0; level < to_level; ++level) {
-        unsigned index = index_at(vpn, level);
-        node = node->slots[index].child.get();
-        if (node == nullptr)
-            return nullptr;
-    }
-    return node;
+    const auto &top = root_->slots[index_at(vpn, 0)];
+    if (!top.child)
+        return {};
+    const auto &mid = top.child->slots[index_at(vpn, 1)];
+    if (!mid.child)
+        return {};
+    const auto &low = mid.child->slots[index_at(vpn, 2)];
+    if (!low.child)
+        return {};
+    return {low.child.get(), low.pte.frame()};
 }
 
 bool
 PageTable::map(std::uint64_t vpn, const PteFields &fields)
 {
-    Node *node = root_.get();
-    for (unsigned level = 0; level + 1 < kPtLevels; ++level) {
-        unsigned index = index_at(vpn, level);
-        if (!node->slots[index].child) {
-            std::unique_ptr<Node> child = make_node();
-            if (!child)
-                return false;
-            // Non-leaf entries point at the child node's frame.
-            node->slots[index].pte =
-                Pte::encode({.present = true, .frame = child->frame});
-            node->slots[index].child = std::move(child);
-        }
-        node = node->slots[index].child.get();
-    }
-    unsigned leaf_index = index_at(vpn, kPtLevels - 1);
+    auto *mid = child_or_new(root_->slots[index_at(vpn, 0)], frames_,
+                             node_count_);
+    if (mid == nullptr)
+        return false;
+    auto *low = child_or_new(mid->slots[index_at(vpn, 1)], frames_,
+                             node_count_);
+    if (low == nullptr)
+        return false;
+    Leaf *leaf = child_or_new(low->slots[index_at(vpn, 2)], frames_,
+                              node_count_);
+    if (leaf == nullptr)
+        return false;
     PteFields with_present = fields;
     with_present.present = true;
-    node->slots[leaf_index].pte = Pte::encode(with_present);
+    leaf->ptes[index_at(vpn, kPtLevels - 1)] = Pte::encode(with_present);
     return true;
 }
 
 void
 PageTable::unmap(std::uint64_t vpn)
 {
-    Node *node = root_.get();
-    for (unsigned level = 0; level + 1 < kPtLevels; ++level) {
-        node = node->slots[index_at(vpn, level)].child.get();
-        if (node == nullptr)
-            return;
-    }
-    Slot &leaf = node->slots[index_at(vpn, kPtLevels - 1)];
-    if (leaf.pte.present())
-        leaf.pte = Pte{};
+    LeafRef ref = find_leaf(vpn);
+    if (ref.leaf != nullptr)
+        ref.leaf->ptes[index_at(vpn, kPtLevels - 1)] = Pte{};
 }
 
 std::optional<Pte>
 PageTable::lookup(std::uint64_t vpn) const
 {
-    const Node *node = descend(vpn, kPtLevels - 1);
-    if (node == nullptr)
+    LeafRef ref = find_leaf(vpn);
+    if (ref.leaf == nullptr)
         return std::nullopt;
-    Pte pte = node->slots[index_at(vpn, kPtLevels - 1)].pte;
+    Pte pte = ref.leaf->ptes[index_at(vpn, kPtLevels - 1)];
     if (!pte.present())
         return std::nullopt;
     return pte;
@@ -116,43 +186,19 @@ PageTable::lookup(std::uint64_t vpn) const
 bool
 PageTable::update(std::uint64_t vpn, const PteFields &fields)
 {
-    Node *node = root_.get();
-    for (unsigned level = 0; level + 1 < kPtLevels; ++level) {
-        node = node->slots[index_at(vpn, level)].child.get();
-        if (node == nullptr)
-            return false;
-    }
+    LeafRef ref = find_leaf(vpn);
+    if (ref.leaf == nullptr)
+        return false;
     PteFields with_present = fields;
     with_present.present = true;
-    node->slots[index_at(vpn, kPtLevels - 1)].pte =
-        Pte::encode(with_present);
+    ref.leaf->ptes[index_at(vpn, kPtLevels - 1)] = Pte::encode(with_present);
     return true;
 }
 
 WalkResult
 PageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
 {
-    const Node *node = root_.get();
-    unsigned count = 0;
-    for (unsigned level = 0; level < kPtLevels; ++level) {
-        unsigned index = index_at(vpn, level);
-        const Slot &slot = node->slots[index];
-        WalkStep &step = steps[count++];
-        step.level = level;
-        step.node_frame = node->frame;
-        step.index = index;
-        step.entry_paddr = node->frame * kPageSize + index * kPteSize;
-        step.pte = slot.pte;
-        if (!step.pte.present())
-            break;
-        if (level + 1 < kPtLevels) {
-            node = slot.child.get();
-            if (node == nullptr) {
-                // Present intermediate entry must have a child node.
-                ptm_panic("present non-leaf entry without child node");
-            }
-        }
-    }
+    const unsigned count = walk_from(*root_, root_frame_, vpn, steps);
     return WalkResult{
         .steps = count,
         .complete = count == kPtLevels && steps[count - 1].pte.present(),
@@ -162,11 +208,11 @@ PageTable::walk(std::uint64_t vpn, WalkSteps &steps) const
 std::optional<Addr>
 PageTable::leaf_entry_paddr(std::uint64_t vpn) const
 {
-    const Node *node = descend(vpn, kPtLevels - 1);
-    if (node == nullptr)
+    LeafRef ref = find_leaf(vpn);
+    if (ref.leaf == nullptr)
         return std::nullopt;
-    unsigned index = index_at(vpn, kPtLevels - 1);
-    return node->frame * kPageSize + index * kPteSize;
+    return ref.frame * kPageSize +
+           index_at(vpn, kPtLevels - 1) * kPteSize;
 }
 
 }  // namespace ptm::pt

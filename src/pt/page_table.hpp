@@ -7,10 +7,15 @@
  * *physical placement* of every PTE — the thing the paper's cache-footprint
  * argument is about — is exact: the entry for virtual page v at the leaf
  * level lives at byte address node_frame*4096 + (v & 511)*8.
+ *
+ * The host copy of a node is the size of the node it simulates plus, at
+ * the interior levels, one child pointer per entry: a leaf is exactly its
+ * 512 PTEs (4 KiB), an interior node 512 {PTE, child} pairs (8 KiB). No
+ * node records its own frame; each is read from the parent's entry, and
+ * the table keeps only the root's.
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,8 +63,9 @@ class PageTable final : public TranslationTable {
      */
     bool map(std::uint64_t vpn, const PteFields &fields) override;
 
-    /// Remove a translation; empty intermediate nodes are kept (as Linux
-    /// does — PT pages are only freed at exit/unmap of whole regions).
+    /// Remove a translation. Nodes are never freed before the table is:
+    /// an emptied node keeps its frame until the process exits (Linux
+    /// would free it at munmap; see ROADMAP.md).
     void unmap(std::uint64_t vpn) override;
 
     /// Current leaf entry for @p vpn, if the whole path exists.
@@ -80,7 +86,7 @@ class PageTable final : public TranslationTable {
     std::optional<Addr> leaf_entry_paddr(std::uint64_t vpn) const override;
 
     /// Frame of the root node (CR3 equivalent).
-    std::uint64_t root_frame() const override { return root_->frame; }
+    std::uint64_t root_frame() const override { return root_frame_; }
 
     /// Total nodes currently allocated, all levels.
     std::uint64_t node_count() const override { return node_count_; }
@@ -99,29 +105,23 @@ class PageTable final : public TranslationTable {
     }
 
   private:
+    /// The node at @p Level (0 = root); defined in page_table.cpp.
+    template <unsigned Level>
     struct Node;
+    using Leaf = Node<kPtLevels - 1>;
 
-    /// One radix entry: the PTE together with (for non-leaf nodes) the
-    /// owning pointer to the child node. Keeping them adjacent means a
-    /// walk step reads the entry and follows the child from the same
-    /// host cache line, instead of hopping between two arrays 4 KiB
-    /// apart.
-    struct Slot {
-        Pte pte;
-        std::unique_ptr<Node> child;
-    };
-
-    struct Node {
+    /// A leaf node and its frame, read from the parent entry.
+    struct LeafRef {
+        Leaf *leaf = nullptr;
         std::uint64_t frame = 0;
-        std::array<Slot, kFanout> slots{};
     };
 
-    std::unique_ptr<Node> make_node();
-    void release_node(Node *node, unsigned level);
-    const Node *descend(std::uint64_t vpn, unsigned to_level) const;
+    /// The leaf covering @p vpn; a null leaf when its path is incomplete.
+    LeafRef find_leaf(std::uint64_t vpn) const;
 
     FrameSource frames_;
-    std::unique_ptr<Node> root_;
+    std::unique_ptr<Node<0>> root_;
+    std::uint64_t root_frame_ = 0;
     std::uint64_t node_count_ = 0;
 };
 

@@ -70,8 +70,8 @@ class TranslationTable {
      */
     virtual bool map(std::uint64_t vpn, const PteFields &fields) = 0;
 
-    /// Remove a translation (structure frames may be retained, as Linux
-    /// keeps PT pages until region teardown).
+    /// Remove a translation. The frames that held it may be kept until
+    /// the table is destroyed.
     virtual void unmap(std::uint64_t vpn) = 0;
 
     /// Current leaf entry for @p vpn, if mapped.

@@ -18,6 +18,14 @@ Job::Job(unsigned core, vm::Process *process,
 {
 }
 
+void
+Job::set_paused(bool paused)
+{
+    paused_ = paused;
+    if (system_ != nullptr)
+        system_->runnable_stale_ = true;
+}
+
 /**
  * WorkloadContext implementation binding a workload to its process: mmap
  * and munmap go through the job's guest kernel and are charged to the job.
@@ -353,6 +361,7 @@ System::make_job(VmSlot &slot, vm::Process &process,
     job->workload_->setup(*job->workload_ctx_);
 
     jobs_.push_back(std::move(job));
+    runnable_stale_ = true;
     return *jobs_.back();
 }
 
@@ -369,6 +378,7 @@ System::kill_vm(unsigned index, const char *status, std::string detail)
         if (job->slot_ != &slot)
             continue;
         job->finished_ = true;
+        runnable_stale_ = true;
         if (!job->core_released_) {
             free_cores_.push_back(job->core_);
             job->core_released_ = true;
@@ -612,6 +622,7 @@ System::step(Job &job)
         job.workload_->next(*job.workload_ctx_);
     if (!op) {
         job.finished_ = true;
+        runnable_stale_ = true;
         return;
     }
 
@@ -675,6 +686,17 @@ System::guest_fault_thunk(void *ctx, std::uint64_t gvpn)
 {
     auto *job = static_cast<Job *>(ctx);
     return job->slot_->guest->handle_fault(*job->process_, gvpn);
+}
+
+void
+System::collect_runnable()
+{
+    runnable_.clear();
+    for (const auto &job : jobs_) {
+        if (!job->finished_ && !job->paused_)
+            runnable_.push_back(job.get());
+    }
+    runnable_stale_ = false;
 }
 
 void

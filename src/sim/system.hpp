@@ -99,7 +99,8 @@ class Job {
 
     bool finished() const { return finished_; }
     bool paused() const { return paused_; }
-    void set_paused(bool paused) { paused_ = paused; }
+    /// Pause or resume the job (between run_until calls).
+    void set_paused(bool paused);
 
     const JobStats &stats() const { return stats_; }
 
@@ -275,20 +276,25 @@ class System {
      * so the per-slice stop check is a direct call, not a std::function
      * hop.
      *
-     * The job vector is never mutated from inside this loop: churn
-     * boots/forks happen in churn_tick() between calls, and OOM kills
-     * reached through a fault only flip finished_ flags.
+     * A round visits runnable_, the runnable jobs in jobs_ order,
+     * collected again at the top of a round after a job was added,
+     * paused, resumed or finished. The job vector is never mutated from
+     * inside this loop: churn boots/forks happen in churn_tick() between
+     * calls, and OOM kills reached through a fault only flip finished_
+     * flags, which the round checks again per job.
      */
     template <typename Stop>
     void
     run_until(Stop &&stop)
     {
         while (!stop()) {
-            bool any_alive = false;
-            for (auto &job : jobs_) {
+            if (runnable_stale_)
+                collect_runnable();
+            if (runnable_.empty())
+                return;
+            for (Job *job : runnable_) {
                 if (job->finished_ || job->paused_)
                     continue;
-                any_alive = true;
                 for (unsigned i = 0;
                      i < config_.slice_ops && !job->finished_; ++i) {
                     step(*job);
@@ -296,8 +302,6 @@ class System {
                 if (stop())
                     return;
             }
-            if (!any_alive)
-                return;
         }
     }
 
@@ -363,7 +367,9 @@ class System {
     /// the churn schedule is keyed on.
     std::uint64_t total_steps() const { return total_steps_; }
 
-    std::vector<std::unique_ptr<Job>> &jobs() { return jobs_; }
+    /// Every job, in scheduling order. Read-only: run_until's runnable
+    /// list points into it, so only System adds jobs.
+    const std::vector<std::unique_ptr<Job>> &jobs() const { return jobs_; }
 
     /// True when a job slot (free core) is available for a new job.
     bool
@@ -383,6 +389,7 @@ class System {
     core::PtemagnetProvider *ptemagnet() { return ptemagnet(0); }
 
   private:
+    friend class Job;
     class JobWorkloadContext;
 
     VmSlot &
@@ -400,6 +407,9 @@ class System {
 
     Job &make_job(VmSlot &slot, vm::Process &process,
                   std::unique_ptr<workload::Workload> workload);
+
+    /// Rebuild runnable_ from jobs_.
+    void collect_runnable();
 
     // ---- overcommit-survival internals -----------------------------
     mmu::FaultOutcome handle_host_fault(VmSlot &slot, std::uint64_t gfn);
@@ -429,6 +439,10 @@ class System {
     std::vector<std::unique_ptr<VmSlot>> slots_;
     std::unique_ptr<cache::MemoryHierarchy> hierarchy_;
     std::vector<std::unique_ptr<Job>> jobs_;
+    /// Jobs neither finished nor paused, in jobs_ order; rebuilt by
+    /// run_until when runnable_stale_ is set.
+    std::vector<Job *> runnable_;
+    bool runnable_stale_ = true;
     obs::StatRegistry registry_;
     obs::TraceSink *trace_ = nullptr;      ///< normally unarmed
     FaultInjector *injector_ = nullptr;    ///< normally unarmed

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -209,10 +210,32 @@ TEST(PhysicalMemory, UseTracking)
     EXPECT_EQ(mem.count_use(FrameUse::Data), 4u);
     EXPECT_EQ(mem.count_use(FrameUse::Data, 7), 4u);
     EXPECT_EQ(mem.count_use(FrameUse::Data, 8), 0u);
-    EXPECT_EQ(mem.info(11).owner, 7);
+    EXPECT_EQ(mem.info(11).owner(), 7);
     mem.set_use(10, 4, FrameUse::Free);
     EXPECT_EQ(mem.count_use(FrameUse::Free), 128u);
-    EXPECT_EQ(mem.info(11).owner, -1);
+    EXPECT_EQ(mem.info(11).owner(), -1);
+}
+
+TEST(PhysicalMemory, FreshFramesAreFreeWithNoOwnerAndOwnerZeroRoundTrips)
+{
+    PhysicalMemory mem(1000, 4096);
+    for (std::uint64_t frame = 1000; frame < 1000 + 4096; ++frame) {
+        ASSERT_EQ(mem.info(frame).use, FrameUse::Free);
+        ASSERT_EQ(mem.info(frame).owner(), -1);
+    }
+    // Owner 0 is host VM 0's id: it must stay distinct from no owner.
+    mem.set_use(1010, 3, FrameUse::Data, 0);
+    EXPECT_EQ(mem.info(1011).owner(), 0);
+    EXPECT_EQ(mem.count_use(FrameUse::Data, 0), 3u);
+    mem.set_use(1012, 1, FrameUse::Kernel);
+    EXPECT_EQ(mem.info(1012).owner(), -1);
+    EXPECT_EQ(mem.count_use(FrameUse::Data, 0), 2u);
+    mem.set_use(1013, 1, FrameUse::Data, INT32_MAX);
+    EXPECT_EQ(mem.info(1013).owner(), INT32_MAX);
+    // Freeing drops the owner whatever the caller passes.
+    mem.set_use(1010, 2, FrameUse::Free, 0);
+    EXPECT_EQ(mem.info(1010).owner(), -1);
+    EXPECT_EQ(mem.count_use(FrameUse::Free), 4096u - 2);
 }
 
 TEST(PhysicalMemory, UseNames)

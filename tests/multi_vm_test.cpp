@@ -95,7 +95,7 @@ TEST(MultiVmHost, KilledVmFramesMergeBackAndSurvivorsKeepMappings)
             auto pte = vm->page_table().lookup(gfn);
             ASSERT_TRUE(pte.has_value());
             EXPECT_EQ(pte->frame(), frame);
-            EXPECT_EQ(host.memory().info(frame).owner, vm_id);
+            EXPECT_EQ(host.memory().info(frame).owner(), vm_id);
         }
     }
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mem/buddy_allocator.hpp"
@@ -262,6 +264,238 @@ TEST_P(PageTablePropertyTest, MatchesReferenceModel)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageTablePropertyTest,
                          ::testing::Values(101, 202, 303, 404));
+
+/**
+ * Frame source that hands out frames far above 2^32 in a scattered
+ * order and records every allocation and release, so a test can check
+ * that each node frame goes back exactly once and that the frame a walk
+ * reports is the one the node was given.
+ */
+class CountingFrames {
+  public:
+    FrameSource
+    source()
+    {
+        return {
+            .allocate = [this]() -> std::optional<std::uint64_t> {
+                const std::uint64_t frame =
+                    kBase + ((next_++ * 7919) % 100'003);
+                EXPECT_TRUE(live_.insert(frame).second)
+                    << "frame " << frame << " handed out twice";
+                ++allocated_;
+                return frame;
+            },
+            .release =
+                [this](std::uint64_t frame) {
+                    EXPECT_EQ(live_.erase(frame), 1u)
+                        << "frame " << frame
+                        << " released but not live (double release?)";
+                    ++released_;
+                },
+        };
+    }
+
+    /// Above 2^32, and below the 2^40 frames a PTE's frame field holds.
+    static constexpr std::uint64_t kBase = 0x12'3456'0000ULL;
+
+    const std::set<std::uint64_t> &live() const { return live_; }
+    std::uint64_t allocated() const { return allocated_; }
+    std::uint64_t released() const { return released_; }
+
+  private:
+    std::uint64_t next_ = 0;
+    std::uint64_t allocated_ = 0;
+    std::uint64_t released_ = 0;
+    std::set<std::uint64_t> live_;
+};
+
+/// Prefix of @p vpn that names its node at @p level (0 = root).
+std::uint64_t
+node_prefix(std::uint64_t vpn, unsigned level)
+{
+    return vpn >> (9 * (kPtLevels - level));
+}
+
+/**
+ * Randomized map/unmap/update/lookup/walk trace over vpns drawn from
+ * five leaves under different parents, checked against a std::map and
+ * against the node set the trace implies (nodes are never freed before
+ * the table, so a node exists iff some map or update reached it).
+ */
+TEST(PageTableRandomized, TraceAcrossLeavesMatchesReference)
+{
+    const std::uint64_t leaf_bases[] = {
+        0,                      // leaf 0 under root entry 0
+        511ull << 9,            // last leaf of the same level-2 node
+        1ull << 18,             // next level-2 node
+        (5ull << 27) | (3ull << 18) | (7ull << 9),  // other root entry
+        (511ull << 27) | (511ull << 18) | (511ull << 9),  // last leaf
+    };
+    for (std::uint64_t seed : {11u, 23u, 47u}) {
+        CountingFrames frames;
+        PageTable pt(frames.source());
+        struct Ref {
+            std::uint64_t frame;
+            bool writable;
+            bool cow;
+        };
+        std::map<std::uint64_t, Ref> reference;
+        // Node prefixes per level below the root that exist.
+        std::set<std::uint64_t> nodes[kPtLevels];
+        nodes[0].insert(0);
+        auto touch_path = [&](std::uint64_t vpn) {
+            for (unsigned level = 1; level < kPtLevels; ++level)
+                nodes[level].insert(node_prefix(vpn, level));
+        };
+        auto leaf_exists = [&](std::uint64_t vpn) {
+            return nodes[kPtLevels - 1].count(node_prefix(vpn, 3)) != 0;
+        };
+        Rng rng(seed);
+        for (int step = 0; step < 6000; ++step) {
+            const std::uint64_t vpn =
+                leaf_bases[rng.below(5)] + rng.below(kPtesPerNode);
+            const std::uint64_t frame = rng.below(1ull << 36);
+            const bool writable = rng.below(2) != 0;
+            const bool cow = rng.below(2) != 0;
+            const std::uint64_t dice = rng.below(10);
+            if (dice < 4) {
+                ASSERT_TRUE(pt.map(vpn, {.writable = writable,
+                                         .cow = cow,
+                                         .frame = frame}));
+                touch_path(vpn);
+                reference[vpn] = {frame, writable, cow};
+            } else if (dice < 6) {
+                pt.unmap(vpn);
+                reference.erase(vpn);
+            } else if (dice < 7) {
+                // update writes the entry whenever its leaf exists, even
+                // over a non-present one.
+                const bool had_leaf = leaf_exists(vpn);
+                EXPECT_EQ(pt.update(vpn, {.writable = writable,
+                                          .cow = cow,
+                                          .frame = frame}),
+                          had_leaf);
+                if (had_leaf)
+                    reference[vpn] = {frame, writable, cow};
+            } else if (dice < 8) {
+                auto it = reference.find(vpn);
+                auto pte = pt.lookup(vpn);
+                ASSERT_EQ(pte.has_value(), it != reference.end());
+                if (pte) {
+                    EXPECT_EQ(pte->frame(), it->second.frame);
+                    EXPECT_EQ(pte->writable(), it->second.writable);
+                    EXPECT_EQ(pte->cow(), it->second.cow);
+                }
+            } else {
+                WalkSteps steps;
+                WalkResult walk = pt.walk(vpn, steps);
+                auto it = reference.find(vpn);
+                ASSERT_EQ(walk.complete, it != reference.end());
+                // The walk stops after the first level whose node for
+                // vpn is missing below it.
+                unsigned want_steps = 1;
+                while (want_steps < kPtLevels &&
+                       nodes[want_steps].count(
+                           node_prefix(vpn, want_steps)) != 0)
+                    ++want_steps;
+                ASSERT_EQ(walk.steps, want_steps);
+                if (it != reference.end()) {
+                    EXPECT_EQ(steps[3].pte.frame(), it->second.frame);
+                    EXPECT_EQ(steps[3].pte.writable(),
+                              it->second.writable);
+                    EXPECT_EQ(steps[3].pte.cow(), it->second.cow);
+                } else {
+                    EXPECT_FALSE(steps[walk.steps - 1].pte.present());
+                }
+                EXPECT_EQ(pt.leaf_entry_paddr(vpn).has_value(),
+                          leaf_exists(vpn));
+            }
+            std::uint64_t want_nodes = 0;
+            for (const auto &level : nodes)
+                want_nodes += level.size();
+            ASSERT_EQ(pt.node_count(), want_nodes);
+        }
+        ASSERT_GE(nodes[kPtLevels - 1].size(), 3u);
+        for (const auto &[vpn, ref] : reference) {
+            auto pte = pt.lookup(vpn);
+            ASSERT_TRUE(pte.has_value());
+            EXPECT_EQ(pte->frame(), ref.frame);
+        }
+    }
+}
+
+TEST(PageTableRandomized, EveryNodeFrameIsReleasedExactlyOnce)
+{
+    CountingFrames frames;
+    {
+        PageTable pt(frames.source());
+        EXPECT_EQ(pt.node_count(), 1u);
+        Rng rng(5);
+        for (int i = 0; i < 3000; ++i) {
+            const std::uint64_t vpn = rng.below(1ull << 36);
+            ASSERT_TRUE(pt.map(vpn, {.frame = i + 1ull}));
+            if (i % 3 == 0)
+                pt.unmap(vpn);
+            // Every node holds exactly one live frame.
+            ASSERT_EQ(pt.node_count(), frames.live().size());
+            ASSERT_EQ(frames.released(), 0u);
+        }
+        EXPECT_GT(pt.node_count(), 3000u);
+    }
+    EXPECT_TRUE(frames.live().empty());
+    EXPECT_EQ(frames.released(), frames.allocated());
+}
+
+TEST(PageTableRandomized, WalkFramesComeFromParentEntries)
+{
+    CountingFrames frames;
+    PageTable pt(frames.source());
+    Rng rng(9);
+    std::vector<std::uint64_t> vpns;
+    for (int i = 0; i < 500; ++i) {
+        // Clusters, so walks share interior nodes and leaves.
+        const std::uint64_t vpn =
+            (rng.below(8) << 30) + (rng.below(16) << 9) + rng.below(512);
+        ASSERT_TRUE(pt.map(vpn, {.frame = 42}));
+        vpns.push_back(vpn);
+    }
+    // The frame a node was given is the one every walk through it
+    // reports, at every level.
+    std::map<std::uint64_t, std::uint64_t> frame_of_node[kPtLevels];
+    for (std::uint64_t vpn : vpns) {
+        WalkSteps steps;
+        WalkResult walk = pt.walk(vpn, steps);
+        ASSERT_TRUE(walk.complete);
+        ASSERT_EQ(walk.steps, kPtLevels);
+        EXPECT_EQ(steps[0].node_frame, pt.root_frame());
+        for (unsigned level = 0; level < kPtLevels; ++level) {
+            const WalkStep &step = steps[level];
+            EXPECT_EQ(frames.live().count(step.node_frame), 1u);
+            EXPECT_EQ(step.entry_paddr,
+                      step.node_frame * kPageSize + step.index * kPteSize);
+            if (level + 1 < kPtLevels) {
+                EXPECT_EQ(step.pte.frame(), steps[level + 1].node_frame);
+            }
+            auto [it, fresh] = frame_of_node[level].emplace(
+                node_prefix(vpn, level), step.node_frame);
+            if (!fresh) {
+                EXPECT_EQ(it->second, step.node_frame);
+            }
+        }
+        std::optional<Addr> leaf = pt.leaf_entry_paddr(vpn);
+        ASSERT_TRUE(leaf.has_value());
+        EXPECT_EQ(*leaf, steps[3].entry_paddr);
+    }
+    // Distinct nodes have distinct frames, and together they are every
+    // frame the table holds.
+    std::set<std::uint64_t> seen;
+    for (const auto &level : frame_of_node) {
+        for (const auto &[prefix, frame] : level)
+            EXPECT_TRUE(seen.insert(frame).second);
+    }
+    EXPECT_EQ(seen, frames.live());
+    EXPECT_EQ(seen.size(), pt.node_count());
+}
 
 }  // namespace
 }  // namespace ptm::pt

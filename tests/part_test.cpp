@@ -194,5 +194,21 @@ TEST(Part, DrainVisitsReservationsInAscendingGroupOrder)
     EXPECT_EQ(part.unmapped_reserved_pages(), 0u);
 }
 
+TEST(PartDeathTest, BaseGfnBeyond32BitsPanics)
+{
+    Part part;
+    // The largest base an entry holds round-trips, and so do the frames
+    // it hands out.
+    const std::uint64_t top = 0xffff'fff8ULL;
+    EXPECT_EQ(part.create(1, top, 0), top);
+    ClaimResult claim = part.claim(1, 7);
+    ASSERT_TRUE(claim.found);
+    EXPECT_EQ(claim.gfn, 0xffff'ffffULL);
+    ASSERT_TRUE(part.find(1).has_value());
+    EXPECT_EQ(part.find(1)->base_gfn, top);
+    EXPECT_DEATH(part.create(2, 1ULL << 32, 0),
+                 "base gfn 4294967296 of group 2 overflows the 32-bit entry");
+}
+
 }  // namespace
 }  // namespace ptm::core

@@ -327,6 +327,29 @@ TEST(HashedVsRadix, RandomOperationSequencesStayEquivalent)
     }
 }
 
+TEST(HashedPageTableDeathTest, TagCollisionPanics)
+{
+    mem::BuddyAllocator buddy(0, 64);
+    pt::HashedPageTable table(pt::FrameSource{
+        .allocate = [&buddy]() { return buddy.allocate_frame(); },
+        .release = [&buddy](std::uint64_t f) { buddy.free(f); },
+    });
+    // The largest vpn with a tag maps, walks and unmaps like any other.
+    const std::uint64_t top = ~std::uint64_t{0} - 2;
+    ASSERT_TRUE(table.map(top, {.frame = 9}));
+    pt::WalkSteps steps;
+    pt::WalkResult walk = table.walk(top, steps);
+    ASSERT_TRUE(walk.complete);
+    EXPECT_EQ(steps[walk.steps - 1].pte.frame(), 9u);
+    table.unmap(top);
+    EXPECT_FALSE(table.lookup(top).has_value());
+    // vpn + 1 would read as the empty tag (0) or the tombstone (~0).
+    EXPECT_DEATH(table.map(~std::uint64_t{0}, {.frame = 1}),
+                 "vpn 18446744073709551615 has no tag");
+    EXPECT_DEATH(table.map(~std::uint64_t{0} - 1, {.frame = 1}),
+                 "vpn 18446744073709551614 has no tag");
+}
+
 TEST(HashedVsRadix, TinyScenarioProducesIdenticalTranslations)
 {
     // Same workload, same seed, same policy — only the translation

@@ -5,6 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "core/ptemagnet_provider.hpp"
 #include "sim/experiment.hpp"
@@ -12,6 +20,7 @@
 #include "sim/suite.hpp"
 #include "sim/system.hpp"
 #include "workload/catalog.hpp"
+#include "workload/workload.hpp"
 
 namespace ptm::sim {
 namespace {
@@ -254,6 +263,139 @@ TEST(SystemTest, StressWorkersChurnWithoutLeaks)
     // The churner's live memory is bounded by its live-chunk window.
     EXPECT_LT(system.guest().buddy().allocated_frames_count(),
               system.guest().buddy().total_frames() / 2);
+}
+
+/// Appends its id to a shared log on every op; finishes after @p ops.
+class RecordingWorkload final : public workload::Workload {
+  public:
+    RecordingWorkload(int id, std::uint64_t ops, std::vector<int> *log)
+        : id_(id), ops_(ops), log_(log)
+    {
+    }
+
+    void
+    setup(workload::WorkloadContext &ctx) override
+    {
+        base_ = ctx.mmap(kPages * kPageSize);
+    }
+
+    std::optional<workload::MemOp>
+    next(workload::WorkloadContext &) override
+    {
+        if (done_ == ops_)
+            return std::nullopt;
+        log_->push_back(id_);
+        return workload::MemOp{.gva = base_ + (done_++ % kPages) * kPageSize};
+    }
+
+    bool in_init_phase() const override { return false; }
+    std::string name() const override { return "recorder"; }
+
+  private:
+    static constexpr std::uint64_t kPages = 4;
+    int id_;
+    std::uint64_t ops_;
+    std::vector<int> *log_;
+    Addr base_ = 0;
+    std::uint64_t done_ = 0;
+};
+
+/// The round-robin contract, written out: a round visits every job in
+/// order, skipping paused and finished ones, and gives each a slice of
+/// slice_ops steps (a step on an exhausted workload finishes the job);
+/// stop is checked before each round and after every slice, and a round
+/// with no runnable job ends the run.
+struct RefJob {
+    int id;
+    std::uint64_t left;
+    bool paused = false;
+    bool finished = false;
+};
+
+void
+reference_run_until(std::vector<RefJob> &jobs, unsigned slice_ops,
+                    std::vector<int> &log, const std::function<bool()> &stop)
+{
+    while (!stop()) {
+        bool any_runnable = false;
+        for (RefJob &job : jobs) {
+            if (job.finished || job.paused)
+                continue;
+            any_runnable = true;
+            for (unsigned i = 0; i < slice_ops && !job.finished; ++i) {
+                if (job.left == 0) {
+                    job.finished = true;
+                } else {
+                    log.push_back(job.id);
+                    --job.left;
+                }
+            }
+            if (stop())
+                return;
+        }
+        if (!any_runnable)
+            return;
+    }
+}
+
+TEST(SchedulerOrder, PauseResumeFinishAddAndKillKeepRoundRobinOrder)
+{
+    PlatformConfig platform = small_platform();
+    platform.slice_ops = 3;
+    System system(platform, 8);
+    ASSERT_EQ(system.boot_vm(), 1u);
+
+    std::vector<int> log;
+    std::vector<RefJob> ref_jobs;
+    std::vector<int> ref_log;
+    std::vector<Job *> jobs;
+    auto add = [&](unsigned vm, std::uint64_t ops) {
+        const int id = static_cast<int>(jobs.size());
+        jobs.push_back(&system.add_job(
+            vm, std::make_unique<RecordingWorkload>(id, ops, &log)));
+        ref_jobs.push_back({id, ops});
+    };
+    // Runs both schedulers until each log holds @p target ops (or no job
+    // can run) and compares the logs.
+    auto run_to = [&](std::size_t target) {
+        system.run_until([&]() { return log.size() >= target; });
+        reference_run_until(ref_jobs, platform.slice_ops, ref_log,
+                            [&]() { return ref_log.size() >= target; });
+        ASSERT_EQ(log, ref_log) << "after running to " << target;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            EXPECT_EQ(jobs[i]->finished(), ref_jobs[i].finished) << i;
+        }
+    };
+    auto pause = [&](int id, bool paused) {
+        jobs[id]->set_paused(paused);
+        ref_jobs[id].paused = paused;
+    };
+
+    add(0, 1000);
+    add(0, 1000);
+    add(0, 20);  // finishes inside a run, partway through a round
+    add(0, 1000);
+    add(1, 1000);
+    run_to(40);
+    pause(1, true);
+    run_to(100);
+    EXPECT_TRUE(jobs[2]->finished());
+    pause(1, false);
+    add(0, 1000);
+    run_to(170);
+    system.kill_vm(1, "churn_killed", "scheduler test");
+    ref_jobs[4].finished = true;
+    run_to(230);
+    // Only job 0 left runnable: it runs to completion, and the run ends
+    // when no job can run although stop never holds.
+    for (int id : {1, 3, 5})
+        pause(id, true);
+    run_to(1'000'000);
+    EXPECT_TRUE(jobs[0]->finished());
+    EXPECT_EQ(std::count(log.begin(), log.end(), 0), 1000);
+    // Resuming a job makes it runnable again.
+    pause(3, false);
+    run_to(log.size() + 30);
 }
 
 }  // namespace

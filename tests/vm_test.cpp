@@ -98,7 +98,7 @@ TEST_F(GuestKernelTest, FaultMapsAndAccounts)
     EXPECT_EQ(pte->frame(), gfn);
     EXPECT_EQ(proc.rss_pages(), 1u);
     EXPECT_EQ(kernel_.memory().info(gfn).use, mem::FrameUse::Data);
-    EXPECT_EQ(kernel_.memory().info(gfn).owner, proc.pid());
+    EXPECT_EQ(kernel_.memory().info(gfn).owner(), proc.pid());
     EXPECT_EQ(kernel_.stats().faults_handled.value(), 1u);
 }
 
