@@ -2,13 +2,12 @@
  * @file
  * Policy & page-table zoo: the factory-backed ablation suite.
  *
- * Sweeps every registered allocation policy (vm::registered_providers:
- * buddy, ptemagnet, reserve_thp, thp, ...) against every registered
- * translation structure (pt::registered_tables: radix, hashed, ...) for
- * each victim workload — the full {policy x table x workload} cross
- * product, one Single run per cell. Nothing here names a concrete
- * provider or table class: a policy registered tomorrow shows up in this
- * ablation automatically.
+ * Sweeps every allocation policy (core::provider_names: buddy,
+ * ptemagnet, reserve_thp, thp) against every translation structure
+ * (pt::table_names: hashed, radix) for each victim workload — the full
+ * {policy x table x workload} cross product, one Single run per cell.
+ * Nothing here names a concrete provider or table class: a policy added
+ * to the name table tomorrow shows up in this ablation automatically.
  *
  * Output is BENCH_policy_zoo.json: the standard suite document plus a
  * "ranking" block that orders every cell of each workload along the
@@ -17,20 +16,19 @@
  * the provider holds without mapping them).
  *
  * With --smoke (or PTM_SMOKE=1) the sweep shrinks to ctest size: one
- * workload, tiny scale — enough to prove every registered combination
- * constructs, runs, and ranks.
+ * workload, tiny scale — enough to prove every combination constructs,
+ * runs, and ranks.
  */
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/provider_factory.hpp"
 #include "pt/table_factory.hpp"
 #include "sim/suite.hpp"
-#include "vm/provider_factory.hpp"
 
 namespace {
 
@@ -99,14 +97,14 @@ main(int argc, char **argv)
             smoke = true;
     }
 
-    const std::vector<std::string> policies = vm::registered_providers();
-    const std::vector<std::string> tables = pt::registered_tables();
+    const std::vector<std::string> policies = core::provider_names();
+    const std::vector<std::string> tables = pt::table_names();
     const std::vector<std::string> victims =
         smoke ? std::vector<std::string>{"pagerank"}
               : std::vector<std::string>{"pagerank", "gcc"};
 
-    check(policies.size() >= 4, "at least 4 registered policies");
-    check(tables.size() >= 2, "at least 2 registered tables");
+    check(policies.size() >= 4, "at least 4 policies");
+    check(tables.size() >= 2, "at least 2 tables");
 
     ExperimentSuite suite("policy_zoo");
     for (const std::string &victim : victims) {
@@ -188,21 +186,8 @@ main(int argc, char **argv)
     doc.set("tables", static_cast<std::uint64_t>(tables.size()));
     doc.set("ranking", std::move(ranking));
 
-    // Same atomic write-then-rename discipline as SuiteResult::write_json.
-    const char *env = std::getenv("PTM_BENCH_DIR");
-    std::string path = std::string(env != nullptr ? env : ".") +
-                       "/BENCH_policy_zoo.json";
-    std::string tmp_path = path + ".tmp";
-    {
-        std::ofstream out(tmp_path, std::ios::trunc);
-        check(static_cast<bool>(out), "BENCH temp file opens");
-        out << doc.dump(2) << '\n';
-        out.flush();
-        check(out.good(), "BENCH temp file written");
-    }
-    check(std::rename(tmp_path.c_str(), path.c_str()) == 0,
-          "BENCH file renamed into place");
-    std::printf("ablation_policies: results -> %s\n", path.c_str());
+    std::printf("ablation_policies: results -> %s\n",
+                result.write_json(doc).c_str());
 
     if (failures == 0)
         std::printf("ablation_policies: OK (%s mode)\n",

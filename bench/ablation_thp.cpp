@@ -17,9 +17,9 @@
 #include <memory>
 #include <string>
 
+#include "core/provider_factory.hpp"
 #include "core/ptemagnet_provider.hpp"
 #include "sim/suite.hpp"
-#include "vm/provider_factory.hpp"
 
 namespace {
 
@@ -92,7 +92,7 @@ sparse_experiment()
         vm::GuestKernel guest(64 * 1024);
         core::PtemagnetProvider *magnet = nullptr;
         if (policy != "buddy") {
-            auto provider = vm::make_provider(policy, &guest, {});
+            auto provider = core::make_provider(policy, &guest, {});
             magnet =
                 dynamic_cast<core::PtemagnetProvider *>(provider.get());
             guest.set_provider(std::move(provider));

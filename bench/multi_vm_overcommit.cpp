@@ -114,39 +114,6 @@ print_robustness(const char *name, const ScenarioResult &result)
     }
 }
 
-/// Field-by-field equality over everything the robustness block exports.
-bool
-same_result(const ScenarioResult &a, const ScenarioResult &b,
-            const char *what)
-{
-    bool ok = a.victim_ops == b.victim_ops &&
-              a.victim_cycles == b.victim_cycles &&
-              a.oom_kills == b.oom_kills &&
-              a.churn_boots == b.churn_boots &&
-              a.churn_kills == b.churn_kills &&
-              a.churn_forks == b.churn_forks &&
-              a.churn_boot_failures == b.churn_boot_failures &&
-              a.host_reclaim_sweeps == b.host_reclaim_sweeps &&
-              a.host_emergency_sweeps == b.host_emergency_sweeps &&
-              a.host_backoff_waits == b.host_backoff_waits &&
-              a.host_balloon_pages == b.host_balloon_pages &&
-              a.host_frames_unbacked == b.host_frames_unbacked &&
-              a.vms.size() == b.vms.size();
-    if (ok) {
-        for (std::size_t i = 0; i < a.vms.size(); ++i) {
-            ok = ok && a.vms[i].status == b.vms[i].status &&
-                 a.vms[i].balloon_pages == b.vms[i].balloon_pages &&
-                 a.vms[i].backed_pages == b.vms[i].backed_pages &&
-                 a.vms[i].frames_repossessed ==
-                     b.vms[i].frames_repossessed &&
-                 a.vms[i].walk_cycles == b.vms[i].walk_cycles &&
-                 a.vms[i].ops == b.vms[i].ops;
-        }
-    }
-    check(ok, what);
-    return ok;
-}
-
 /// Tier-1 acceptance run: survive the storm, deterministically.
 int
 storm_smoke()
@@ -170,7 +137,7 @@ storm_smoke()
           "every OOM-kill surfaced as a degradation record");
 
     ScenarioResult second = run_scenario(config);
-    same_result(first, second, "repeat run is bit-identical");
+    check(same_simulation(first, second), "repeat run is bit-identical");
 
     // Thread-count invariance: the same entry, run concurrently with a
     // sibling on 1- and 4-thread suite pools, must match the serial run.
@@ -184,10 +151,10 @@ storm_smoke()
         options.announce = false;
         SuiteResult result = suite.run(options);
         check(!result.at("storm").failed(), "suite storm leg completed");
-        same_result(first, result.at("storm").single,
-                    "suite run matches the serial run");
-        same_result(first, result.at("storm-echo").single,
-                    "concurrent sibling matches the serial run");
+        check(same_simulation(first, result.at("storm").single),
+              "suite run matches the serial run");
+        check(same_simulation(first, result.at("storm-echo").single),
+              "concurrent sibling matches the serial run");
     }
 
     if (failures == 0)

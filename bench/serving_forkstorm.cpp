@@ -98,38 +98,6 @@ build_suite(double scale, std::uint64_t measure_ops, std::uint64_t boots,
     return suite;
 }
 
-/// Field-by-field equality over the storm's robustness surface.
-bool
-same_result(const ScenarioResult &a, const ScenarioResult &b,
-            const char *what)
-{
-    bool ok = a.victim_ops == b.victim_ops &&
-              a.victim_cycles == b.victim_cycles &&
-              a.victim_rss_pages == b.victim_rss_pages &&
-              a.churn_boots == b.churn_boots &&
-              a.churn_kills == b.churn_kills &&
-              a.churn_forks == b.churn_forks &&
-              a.oom_kills == b.oom_kills &&
-              a.host_balloon_pages == b.host_balloon_pages &&
-              a.dirty_ring_logged == b.dirty_ring_logged &&
-              a.dirty_ring_epochs == b.dirty_ring_epochs &&
-              a.ws_estimate_pages == b.ws_estimate_pages &&
-              a.ws_guided_sweeps == b.ws_guided_sweeps &&
-              a.vms.size() == b.vms.size();
-    if (ok) {
-        for (std::size_t i = 0; i < a.vms.size(); ++i) {
-            ok = ok && a.vms[i].status == b.vms[i].status &&
-                 a.vms[i].backed_pages == b.vms[i].backed_pages &&
-                 a.vms[i].ws_estimate_pages ==
-                     b.vms[i].ws_estimate_pages &&
-                 a.vms[i].walk_cycles == b.vms[i].walk_cycles &&
-                 a.vms[i].ops == b.vms[i].ops;
-        }
-    }
-    check(ok, what);
-    return ok;
-}
-
 int
 smoke()
 {
@@ -150,8 +118,8 @@ smoke()
           "COW-style stores reached the dirty rings");
     check(!first.vms.empty() && first.vms[0].status == "alive",
           "the protected primary instance survived");
-    same_result(first, run_scenario(storm),
-                "repeat run is bit-identical");
+    check(same_simulation(first, run_scenario(storm)),
+          "repeat run is bit-identical");
 
     for (unsigned threads : {1u, 4u}) {
         ExperimentSuite suite =
@@ -163,8 +131,8 @@ smoke()
         options.announce = false;
         SuiteResult result = suite.run(options);
         check(result.failed_count() == 0, "all suite entries completed");
-        same_result(first, result.at("fork_churn_storm").single,
-                    "suite storm leg matches the serial run");
+        check(same_simulation(first, result.at("fork_churn_storm").single),
+              "suite storm leg matches the serial run");
     }
 
     if (failures == 0)

@@ -65,7 +65,7 @@ kv_overcommit_config(double scale, std::uint64_t measure_ops)
 {
     ScenarioConfig config = kv_config(scale, measure_ops);
     config.with_vms(3);
-    config.with_vm_spec(VmSpec{"stress-ng", 1, "", {}, 0.2, 0});
+    config.with_vm_spec(VmSpec{.scale = 0.2});
     config.platform.guest_frames = 8192;
     config.platform.host_frames = 20 * 1024;
     config.with_overcommit(OvercommitPolicy{}
@@ -93,38 +93,6 @@ build_suite(double scale, std::uint64_t measure_ops)
     return suite;
 }
 
-/// Field-by-field equality over everything the serving tier reports.
-bool
-same_result(const ScenarioResult &a, const ScenarioResult &b,
-            const char *what)
-{
-    bool ok = a.victim_ops == b.victim_ops &&
-              a.victim_cycles == b.victim_cycles &&
-              a.victim_rss_pages == b.victim_rss_pages &&
-              a.buddy_calls == b.buddy_calls &&
-              a.host_balloon_pages == b.host_balloon_pages &&
-              a.dirty_ring_armed == b.dirty_ring_armed &&
-              a.dirty_ring_logged == b.dirty_ring_logged &&
-              a.dirty_ring_harvests == b.dirty_ring_harvests &&
-              a.dirty_ring_epochs == b.dirty_ring_epochs &&
-              a.ws_estimate_pages == b.ws_estimate_pages &&
-              a.ws_guided_sweeps == b.ws_guided_sweeps &&
-              a.vms.size() == b.vms.size();
-    if (ok) {
-        for (std::size_t i = 0; i < a.vms.size(); ++i) {
-            ok = ok && a.vms[i].status == b.vms[i].status &&
-                 a.vms[i].balloon_pages == b.vms[i].balloon_pages &&
-                 a.vms[i].backed_pages == b.vms[i].backed_pages &&
-                 a.vms[i].ws_estimate_pages ==
-                     b.vms[i].ws_estimate_pages &&
-                 a.vms[i].walk_cycles == b.vms[i].walk_cycles &&
-                 a.vms[i].ops == b.vms[i].ops;
-        }
-    }
-    check(ok, what);
-    return ok;
-}
-
 int
 smoke()
 {
@@ -140,7 +108,8 @@ smoke()
     check(first.victim_rss_pages > 0, "the slab heap was faulted in");
     check(!first.dirty_ring_armed,
           "a ring-disarmed run reports no ring telemetry");
-    same_result(first, run_scenario(kv), "repeat run is bit-identical");
+    check(same_simulation(first, run_scenario(kv)),
+          "repeat run is bit-identical");
 
     ScenarioResult armed = run_scenario(oc);
     check(armed.dirty_ring_armed, "the overcommit leg armed the ring");
@@ -148,8 +117,8 @@ smoke()
     check(armed.dirty_ring_epochs >= 1, "at least one epoch closed");
     check(!armed.vms.empty() && armed.vms[0].status == "alive",
           "the KV tier's VM survived the overcommit");
-    same_result(armed, run_scenario(oc),
-                "armed repeat run is bit-identical");
+    check(same_simulation(armed, run_scenario(oc)),
+          "armed repeat run is bit-identical");
 
     // Thread-count invariance over the whole suite, then emit the BENCH
     // document from the 4-thread pass for CI to archive.
@@ -162,10 +131,10 @@ smoke()
         options.announce = false;
         SuiteResult result = suite.run(options);
         check(result.failed_count() == 0, "all suite entries completed");
-        same_result(first, result.at("kv/policy=buddy").single,
-                    "suite buddy leg matches the serial run");
-        same_result(armed, result.at("kv_overcommit_ws").single,
-                    "suite overcommit leg matches the serial run");
+        check(same_simulation(first, result.at("kv/policy=buddy").single),
+              "suite buddy leg matches the serial run");
+        check(same_simulation(armed, result.at("kv_overcommit_ws").single),
+              "suite overcommit leg matches the serial run");
     }
 
     if (failures == 0)

@@ -1,10 +1,10 @@
 /**
  * @file
  * PolicyParams — the key/value parameter bag carried by the policy and
- * translation-table factories.
+ * workload factories.
  *
- * Factories (vm::make_provider, pt::make_table) accept a name plus one of
- * these bags, so a new policy's knobs ("promotion_threshold",
+ * core::make_provider and workload::make_workload accept a name plus one
+ * of these bags, so a new policy's knobs ("promotion_threshold",
  * "group_pages", ...) need no new ScenarioConfig fields and round-trip
  * through BENCH_*.json as a plain object. Values are doubles — the same
  * numeric model as the JSON layer — and keys keep insertion order so

@@ -2,31 +2,11 @@
 
 #include <bit>
 
+#include "common/error.hpp"
 #include "common/log.hpp"
 #include "vm/guest_kernel.hpp"
-#include "vm/provider_factory.hpp"
 
 namespace ptm::core {
-
-namespace {
-
-/// Registers PTEMagnet with the vm-layer policy factory. This translation
-/// unit is always linked when the policy can be used (sim::System names
-/// PtemagnetProvider directly), so the registrar is never dead-stripped.
-const vm::ProviderRegistrar kPtemagnetRegistrar{
-    "ptemagnet",
-    [](vm::GuestKernel *kernel, const PolicyParams &params) {
-        auto provider = std::make_unique<PtemagnetProvider>(
-            kernel, static_cast<unsigned>(params.get_u64(
-                        "group_pages", kPagesPerReservation)));
-        if (params.has("memory_limit_threshold_bytes")) {
-            provider->use_memory_limit_policy(static_cast<Addr>(
-                params.get_u64("memory_limit_threshold_bytes")));
-        }
-        return provider;
-    }};
-
-}  // namespace
 
 PtemagnetProvider::PtemagnetProvider(vm::GuestKernel *kernel,
                                      unsigned group_pages)
@@ -36,7 +16,7 @@ PtemagnetProvider::PtemagnetProvider(vm::GuestKernel *kernel,
         ptm_fatal("PTEMagnet needs a kernel");
     if (group_pages < 2 || group_pages > 32 ||
         (group_pages & (group_pages - 1)) != 0) {
-        ptm_fatal("reservation granularity %u is not a power of two in "
+        ptm_throw("reservation granularity %u is not a power of two in "
                   "[2, 32]", group_pages);
     }
     reservation_order_ =

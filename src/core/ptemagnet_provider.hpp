@@ -50,6 +50,8 @@ class PtemagnetProvider final : public vm::PhysicalPageProvider {
      * @param group_pages reservation granularity in pages (power of two,
      *        2..32). The paper's design point is 8 — exactly one PTE
      *        cache line; other values exist for the granularity ablation.
+     * @throws SimError for any other granularity, so a bad sweep value
+     *         fails its own suite entry only.
      */
     explicit PtemagnetProvider(vm::GuestKernel *kernel,
                                unsigned group_pages = kPagesPerReservation);

@@ -3,6 +3,7 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "obs/trace_sink.hpp"
+#include "pt/hashed_page_table.hpp"
 #include "pt/table_factory.hpp"
 
 namespace ptm::host {
@@ -53,26 +54,19 @@ HostKernel::pt_frame_source(std::int32_t vm_id)
 }
 
 void
-HostKernel::set_translation_table(const std::string &name,
-                                  PolicyParams params)
+HostKernel::set_translation_table(const std::string &name)
 {
     if (!vms_.empty())
         ptm_fatal("cannot change the host translation table with live VMs");
-    if (!pt::table_registered(name)) {
-        // Fail the same way make_table would, before a VM exists.
-        pt::make_table(name, pt_frame_source(0), params);
-    }
+    pt::require_table(name);
     table_name_ = name;
-    table_params_ = std::move(params);
 }
 
 std::uint64_t
 HostKernel::table_boot_frames() const
 {
-    if (table_name_ == "hashed") {
-        return static_cast<std::uint64_t>(
-            table_params_.get("initial_frames", 4.0));
-    }
+    if (table_name_ == "hashed")
+        return pt::HashedPageTable::kInitialFrames;
     return 1;  // radix-style tables allocate only the root node at boot
 }
 
@@ -95,7 +89,7 @@ HostKernel::create_vm()
 
     std::int32_t id = next_vm_id_++;
     auto vm = std::make_unique<VmInstance>(
-        id, pt::make_table(table_name_, pt_frame_source(id), table_params_));
+        id, pt::make_table(table_name_, pt_frame_source(id)));
     VmInstance &ref = *vm;
     vms_.emplace(id, std::move(vm));
     return ref;

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 
-#include "common/params.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/buddy_allocator.hpp"
@@ -87,7 +86,7 @@ class HostKernel {
     /**
      * Boot a VM (its guest-physical space is backed on demand). Admission
      * is checked up front: booting needs the VM's page-table boot frames
-     * (1 for radix, "initial_frames" for hashed tables).
+     * (1 for radix, HashedPageTable::kInitialFrames for hashed tables).
      * @throws SimError with free/needed frame counts when the host cannot
      * back even the boot frames — recoverable, nothing is allocated.
      */
@@ -115,10 +114,9 @@ class HostKernel {
     /**
      * Select the host translation-table structure (pt::make_table name)
      * used by VMs created from now on; defaults to "radix".
-     * @throws SimError if @p name is not registered.
+     * @throws SimError if @p name is unknown.
      */
-    void set_translation_table(const std::string &name,
-                               PolicyParams params = {});
+    void set_translation_table(const std::string &name);
     const std::string &translation_table() const { return table_name_; }
 
     /**
@@ -156,7 +154,6 @@ class HostKernel {
     mem::BuddyAllocator buddy_;
     mem::PhysicalMemory memory_;
     std::string table_name_ = "radix";
-    PolicyParams table_params_;
     std::map<std::int32_t, std::unique_ptr<VmInstance>> vms_;
     obs::TraceSink *trace_ = nullptr;  ///< normally unarmed
     HostKernelStats stats_;

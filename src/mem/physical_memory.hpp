@@ -26,7 +26,7 @@ enum class FrameUse : std::uint32_t {
     Free,       ///< on the buddy free lists
     Data,       ///< mapped application data page
     PageTable,  ///< holds a page-table node
-    Reserved,   ///< held inside a PTEMagnet reservation, not yet mapped
+    Reserved,   ///< held in a provider reservation, not yet mapped
     Kernel,     ///< other kernel-internal use
 };
 

@@ -52,8 +52,7 @@ struct HistogramSummary {
 /**
  * Point-in-time copy of every registered stat, in registration order
  * (which is hierarchical by construction). Plain data: safe to keep
- * after the registry or the underlying components are gone, and
- * reconstructible from its JSON form.
+ * after the registry or the underlying components are gone.
  */
 class StatSnapshot {
   public:
@@ -74,9 +73,9 @@ class StatSnapshot {
     /// Histogram summary at @p path; fatal if missing or a counter.
     const HistogramSummary &histogram(const std::string &path) const;
 
-    /// Append one counter entry (snapshot construction / JSON reload).
+    /// Append one counter entry (snapshot construction).
     void add_counter(std::string path, double value);
-    /// Append one histogram entry (snapshot construction / JSON reload).
+    /// Append one histogram entry (snapshot construction).
     void add_histogram(std::string path, const HistogramSummary &summary);
 
   private:

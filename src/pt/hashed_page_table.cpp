@@ -9,26 +9,19 @@ namespace {
 
 constexpr std::uint64_t kNpos = ~0ull;
 
-bool
-is_power_of_two(std::uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
 }  // namespace
 
-HashedPageTable::HashedPageTable(FrameSource frames,
-                                 std::uint64_t initial_frames)
+static_assert((HashedPageTable::kInitialFrames &
+               (HashedPageTable::kInitialFrames - 1)) == 0,
+              "bucket indexing masks by a power-of-two frame count");
+
+HashedPageTable::HashedPageTable(FrameSource frames)
     : source_(std::move(frames))
 {
     if (!source_.allocate || !source_.release)
         ptm_fatal("hashed page table requires a complete frame source");
-    if (!is_power_of_two(initial_frames))
-        ptm_fatal("hashed page table frame count must be a power of two "
-                  "(got %llu)",
-                  static_cast<unsigned long long>(initial_frames));
-    frames_.reserve(initial_frames);
-    for (std::uint64_t i = 0; i < initial_frames; ++i) {
+    frames_.reserve(kInitialFrames);
+    for (std::uint64_t i = 0; i < kInitialFrames; ++i) {
         std::optional<std::uint64_t> frame = source_.allocate();
         if (!frame) {
             // Recoverable admission failure. The destructor will not run
@@ -39,11 +32,11 @@ HashedPageTable::HashedPageTable(FrameSource frames,
                       "%llu of %llu allocated before the frame source "
                       "ran dry",
                       static_cast<unsigned long long>(frames_.size()),
-                      static_cast<unsigned long long>(initial_frames));
+                      static_cast<unsigned long long>(kInitialFrames));
         }
         frames_.push_back(*frame);
     }
-    slots_.resize(initial_frames * kSlotsPerFrame);
+    slots_.resize(kInitialFrames * kSlotsPerFrame);
 }
 
 HashedPageTable::~HashedPageTable()

@@ -39,14 +39,12 @@ class HashedPageTable final : public TranslationTable {
   public:
     /// Entry slots per 4 KiB bucket frame (512 eight-byte entries).
     static constexpr unsigned kSlotsPerFrame = kPtesPerNode;
+    /// Bucket frames a new table allocates eagerly, like the radix root
+    /// (a power of two; growth doubles it).
+    static constexpr std::uint64_t kInitialFrames = 4;
 
-    /**
-     * @param frames         where bucket frames come from / go back to.
-     * @param initial_frames starting bucket-frame count (power of two);
-     *                       allocated eagerly, like the radix root.
-     */
-    explicit HashedPageTable(FrameSource frames,
-                             std::uint64_t initial_frames = 4);
+    /// @param frames where bucket frames come from / go back to.
+    explicit HashedPageTable(FrameSource frames);
     ~HashedPageTable() override;
 
     HashedPageTable(const HashedPageTable &) = delete;

@@ -1,8 +1,7 @@
 #include "pt/table_factory.hpp"
 
-#include <algorithm>
+#include <functional>
 #include <map>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "pt/hashed_page_table.hpp"
@@ -11,80 +10,61 @@ namespace ptm::pt {
 
 namespace {
 
-/// Meyers singleton so registrations from static initializers in any
-/// translation unit land in one map regardless of init order.
-std::map<std::string, TableCtor> &
-registry()
+using Ctor =
+    std::function<std::unique_ptr<TranslationTable>(FrameSource)>;
+
+const std::map<std::string, Ctor> &
+tables()
 {
-    static std::map<std::string, TableCtor> tables;
-    return tables;
+    static const std::map<std::string, Ctor> table = {
+        {"hashed",
+         [](FrameSource frames) {
+             return std::make_unique<HashedPageTable>(std::move(frames));
+         }},
+        {"radix",
+         [](FrameSource frames) {
+             return std::make_unique<PageTable>(std::move(frames));
+         }},
+    };
+    return table;
 }
 
-std::string
-known_names()
+/// The one place an unknown table name is reported.
+const Ctor &
+ctor_of(const std::string &name)
 {
-    std::ostringstream out;
-    bool first = true;
-    for (const auto &[name, ctor] : registry()) {
-        out << (first ? "" : ", ") << name;
-        first = false;
+    auto it = tables().find(name);
+    if (it == tables().end()) {
+        std::string known;
+        for (const auto &[row, ctor] : tables())
+            known += (known.empty() ? "" : ", ") + row;
+        ptm_throw("unknown translation table '%s' (known: %s)",
+                  name.c_str(), known.c_str());
     }
-    return out.str();
+    return it->second;
 }
 
 }  // namespace
 
-void
-register_table(const std::string &name, TableCtor ctor)
-{
-    registry()[name] = std::move(ctor);
-}
-
-bool
-table_registered(const std::string &name)
-{
-    return registry().count(name) != 0;
-}
-
 std::vector<std::string>
-registered_tables()
+table_names()
 {
     std::vector<std::string> names;
-    names.reserve(registry().size());
-    for (const auto &[name, ctor] : registry())
+    for (const auto &[name, ctor] : tables())
         names.push_back(name);
     return names;
 }
 
-std::unique_ptr<TranslationTable>
-make_table(const std::string &name, FrameSource frames,
-           const PolicyParams &params)
+void
+require_table(const std::string &name)
 {
-    auto it = registry().find(name);
-    if (it == registry().end())
-        ptm_throw("unknown translation table '%s' (registered: %s)",
-                  name.c_str(), known_names().c_str());
-    return it->second(std::move(frames), params);
+    ctor_of(name);
 }
 
-// ---------------------------------------------------------------------
-// Built-in tables.
-
-namespace {
-
-const bool kBuiltinsRegistered = [] {
-    register_table("radix",
-                   [](FrameSource frames, const PolicyParams &) {
-                       return std::make_unique<PageTable>(std::move(frames));
-                   });
-    register_table("hashed", [](FrameSource frames,
-                                const PolicyParams &params) {
-        return std::make_unique<HashedPageTable>(
-            std::move(frames), params.get_u64("initial_frames", 4));
-    });
-    return true;
-}();
-
-}  // namespace
+std::unique_ptr<TranslationTable>
+make_table(const std::string &name, FrameSource frames)
+{
+    return ctor_of(name)(std::move(frames));
+}
 
 }  // namespace ptm::pt

@@ -1,54 +1,40 @@
 /**
  * @file
- * String-keyed registry of TranslationTable implementations.
+ * The fixed name table of TranslationTable implementations.
  *
- * Mirrors vm::ProviderFactory on the translation side: a table is chosen
- * by name ("radix", "hashed", ...) in PlatformConfig / ScenarioConfig, so
- * the ablation suite can sweep table structures the same way it sweeps
- * allocation policies. Adding a table is one file: implement
- * TranslationTable, then register a constructor under a name (see the
- * registrations in table_factory.cpp, and DESIGN.md "Factories &
- * registries").
+ * Mirrors core/provider_factory.hpp on the translation side: a table is
+ * chosen by name ("radix", "hashed") in PlatformConfig / ScenarioConfig,
+ * so the ablation suite can sweep table structures the same way it
+ * sweeps allocation policies. Adding a table is one implementation of
+ * TranslationTable plus one row in table_factory.cpp (DESIGN.md
+ * "Factories").
  *
- * Unknown names fail fast with a SimError that lists every registered
- * name, so a typo in a config or sweep axis dies before any simulation
- * work happens.
+ * Unknown names fail fast with a SimError that lists every name, so a
+ * typo in a config or sweep axis dies before any simulation work
+ * happens.
  */
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/params.hpp"
 #include "pt/page_table.hpp"
 #include "pt/translation_table.hpp"
 
 namespace ptm::pt {
 
-/// Constructor signature for registered tables. @p params carries
-/// table-specific knobs (e.g. "initial_frames" for the hashed table);
-/// unknown keys are ignored so policy and table params can share one bag.
-using TableCtor = std::function<std::unique_ptr<TranslationTable>(
-    FrameSource, const PolicyParams &)>;
+/// Table names, sorted (error messages and sweep enumeration).
+std::vector<std::string> table_names();
 
-/// Register @p ctor under @p name; replaces an existing registration of
-/// the same name (ptm_fatal would be hostile to tests re-registering).
-void register_table(const std::string &name, TableCtor ctor);
-
-/// True iff @p name has a registered constructor.
-bool table_registered(const std::string &name);
-
-/// Registered names, sorted (for error messages and sweep enumeration).
-std::vector<std::string> registered_tables();
+/// @throws SimError listing table_names() if @p name is unknown.
+void require_table(const std::string &name);
 
 /**
- * Construct the table registered under @p name.
- * @throws SimError listing registered names if @p name is unknown.
+ * Construct the table named @p name over @p frames.
+ * @throws SimError listing table_names() if @p name is unknown.
  */
 std::unique_ptr<TranslationTable> make_table(const std::string &name,
-                                             FrameSource frames,
-                                             const PolicyParams &params);
+                                             FrameSource frames);
 
 }  // namespace ptm::pt

@@ -11,8 +11,8 @@
  * report the exact physical byte address of each entry it reads.
  *
  * Implementations: pt::PageTable (4-level radix), pt::HashedPageTable
- * (open-addressed buckets in physical frames). New tables register with
- * pt::register_table (table_factory.hpp) and become sweepable by name.
+ * (open-addressed buckets in physical frames). A new table becomes
+ * sweepable by name with one row in the table_factory.cpp name table.
  */
 #pragma once
 
@@ -100,7 +100,7 @@ class TranslationTable {
     /// Structure frames currently allocated.
     virtual std::uint64_t node_count() const = 0;
 
-    /// Registered factory name ("radix", "hashed", ...).
+    /// Factory name ("radix", "hashed").
     virtual std::string name() const = 0;
 
     /**

@@ -1,14 +1,15 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <optional>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "core/provider_factory.hpp"
 #include "core/ptemagnet_provider.hpp"
 #include "pt/table_factory.hpp"
-#include "vm/provider_factory.hpp"
 #include "workload/catalog.hpp"
 
 namespace ptm::sim {
@@ -16,11 +17,7 @@ namespace ptm::sim {
 ScenarioConfig &
 ScenarioConfig::with_workload(const std::string &name)
 {
-    if (!workload::workload_registered(name)) {
-        // Fail the same way run_scenario would, but at config-build time;
-        // make_workload throws the SimError listing registered names.
-        workload::make_workload(name, {});
-    }
+    workload::require_workload(name);
     victim = name;
     return *this;
 }
@@ -28,11 +25,7 @@ ScenarioConfig::with_workload(const std::string &name)
 ScenarioConfig &
 ScenarioConfig::with_policy(const std::string &name)
 {
-    if (!vm::provider_registered(name)) {
-        // Fail the same way run_scenario would, but at config-build time;
-        // the factory throws before it ever touches the (null) kernel.
-        vm::make_provider(name, nullptr, {});
-    }
+    core::require_provider(name);
     policy_name = name;
     return *this;
 }
@@ -40,10 +33,7 @@ ScenarioConfig::with_policy(const std::string &name)
 ScenarioConfig &
 ScenarioConfig::with_table(const std::string &name)
 {
-    if (!pt::table_registered(name)) {
-        // The factory throws before the frame source is ever invoked.
-        pt::make_table(name, pt::FrameSource{}, {});
-    }
+    pt::require_table(name);
     platform.translation_table = name;
     return *this;
 }
@@ -72,14 +62,14 @@ run_scenario(const ScenarioConfig &config)
                   "was removed");
 
     const bool multi_vm = config.multi_vm();
+    const unsigned vms = std::max(config.vms, 1u);
 
-    // Every job needs a core for its whole life; churn boots/forks each
-    // add at most one, so size the hierarchy for the worst case.
-    unsigned cores = 1;
+    // Every job needs a core for its whole life: the victim, its
+    // co-runners, one stress-ng job per co-resident VM, and at most one
+    // per churn boot/fork, so size the hierarchy for the worst case.
+    unsigned cores = vms;
     for (const CorunnerSpec &spec : config.corunners)
         cores += spec.workers;
-    for (unsigned k = 1; k < config.vms; ++k)
-        cores += config.vm_spec_for(k).workers;
     cores += static_cast<unsigned>(
         config.churn.count(ChurnAction::Boot) +
         config.churn.count(ChurnAction::Fork));
@@ -92,27 +82,18 @@ run_scenario(const ScenarioConfig &config)
     // Co-resident VMs boot right after VM 0 so their slot indices (and
     // registry namespaces "vm1".."vmN-1") are assigned before any job or
     // churn event exists.
-    for (unsigned k = 1; k < config.vms; ++k)
-        system.boot_vm(config.vm_spec_for(k).guest_frames);
+    for (unsigned k = 1; k < vms; ++k)
+        system.boot_vm();
     if (config.fault_plan.armed()) {
         injector.emplace(config.fault_plan);
         system.arm_fault_injection(*injector);
     }
     // "buddy" keeps the kernel's built-in provider: no replacement, no
-    // "vm0.provider" registry subtree — bit-identical to historic runs.
+    // "vm<K>.provider" registry subtree — bit-identical to historic runs.
     const std::string policy = config.resolved_policy();
-    if (policy != "buddy")
-        system.set_policy(policy, config.resolved_policy_params());
-    for (unsigned k = 1; k < config.vms; ++k) {
-        const VmSpec spec = config.vm_spec_for(k);
-        const std::string vm_policy =
-            spec.policy.empty() ? policy : spec.policy;
-        if (vm_policy != "buddy") {
-            system.set_policy(k, vm_policy,
-                              spec.policy.empty()
-                                  ? config.resolved_policy_params()
-                                  : spec.policy_params);
-        }
+    if (policy != "buddy") {
+        for (unsigned k = 0; k < vms; ++k)
+            system.set_policy(k, policy, config.resolved_policy_params());
     }
     system.set_overcommit(config.overcommit);  // no-op unless armed
     system.set_churn_plan(config.churn);       // no-op unless armed
@@ -124,8 +105,8 @@ run_scenario(const ScenarioConfig &config)
     options.seed = config.seed;
 
     // Only the victim sees the config's workload knobs; co-runners keep
-    // their registered defaults (their streams stay identical across
-    // victim-param sweeps).
+    // their defaults (their streams stay identical across victim-param
+    // sweeps).
     workload::WorkloadOptions victim_options = options;
     victim_options.params = config.workload_params;
     Job &victim = system.add_job(
@@ -138,16 +119,12 @@ run_scenario(const ScenarioConfig &config)
             system.add_job(workload::make_workload(spec.name, co_options));
         }
     }
-    for (unsigned k = 1; k < config.vms; ++k) {
-        const VmSpec spec = config.vm_spec_for(k);
-        for (unsigned w = 0; w < spec.workers; ++w) {
-            workload::WorkloadOptions vm_options;
-            vm_options.scale =
-                spec.scale > 0.0 ? spec.scale : config.scale;
-            vm_options.seed = config.seed + 10'000ULL * k + w;
-            system.add_job(
-                k, workload::make_workload(spec.workload, vm_options));
-        }
+    for (unsigned k = 1; k < vms; ++k) {
+        const double scale = config.vm_spec_for(k).scale;
+        workload::WorkloadOptions vm_options;
+        vm_options.scale = scale > 0.0 ? scale : config.scale;
+        vm_options.seed = config.seed + 10'000ULL * k;
+        system.add_job(k, workload::make_workload("stress-ng", vm_options));
     }
 
     ScenarioResult result;

@@ -32,16 +32,12 @@ using workload::CorunnerSpec;
 
 /**
  * One co-resident guest VM of a multi-VM scenario (VM 1..N-1; VM 0 is
- * the victim's VM, described by the top-level config fields). Empty /
- * zero fields inherit the scenario's corresponding value.
+ * the victim's VM, described by the top-level config fields). Each runs
+ * one stress-ng job under the scenario's policy, in a guest of the
+ * platform's size.
  */
 struct VmSpec {
-    std::string workload = "stress-ng";  ///< catalog name of each job
-    unsigned workers = 1;                ///< jobs booted in this VM
-    std::string policy;                  ///< empty = the scenario's policy
-    PolicyParams policy_params;          ///< used only when policy is set
-    double scale = 0.0;                  ///< 0 = the scenario's scale
-    std::uint64_t guest_frames = 0;      ///< 0 = the platform default
+    double scale = 0.0;  ///< stress-ng footprint; 0 = the scenario's scale
 };
 
 /**
@@ -61,10 +57,10 @@ struct ScenarioConfig {
     /// Victim workload by factory name (workload::make_workload).
     std::string victim = "pagerank";
     /// Victim-specific generator knobs, forwarded to the workload
-    /// factory (co-runners use their registered defaults).
+    /// factory (co-runners use their defaults).
     workload::WorkloadParams workload_params;
     std::vector<CorunnerSpec> corunners;
-    /// Allocation policy by factory name (vm::make_provider); empty
+    /// Allocation policy by factory name (core::make_provider); empty
     /// means "buddy".
     std::string policy_name;
     /// Policy-specific knobs, forwarded to the provider factory.
@@ -120,7 +116,7 @@ struct ScenarioConfig {
     /**
      * Select the victim workload by factory name, fail-fast: unknown
      * names throw immediately instead of at run time.
-     * @throws SimError listing registered names if @p name is unknown.
+     * @throws SimError listing the known names if @p name is unknown.
      */
     ScenarioConfig &with_workload(const std::string &name);
     /// Set one victim-workload knob (repeatable).
@@ -152,7 +148,7 @@ struct ScenarioConfig {
     }
     /**
      * Select the allocation policy by factory name.
-     * @throws SimError listing registered names if @p name is unknown.
+     * @throws SimError listing the known names if @p name is unknown.
      */
     ScenarioConfig &with_policy(const std::string &name);
     /// Set one policy-specific knob (repeatable).
@@ -165,16 +161,9 @@ struct ScenarioConfig {
     /**
      * Select the translation-table structure by factory name (applies to
      * both the guest and host tables of the run).
-     * @throws SimError listing registered names if @p name is unknown.
+     * @throws SimError listing the known names if @p name is unknown.
      */
     ScenarioConfig &with_table(const std::string &name);
-    /// Set one table-specific knob (repeatable).
-    ScenarioConfig &
-    with_table_param(const std::string &key, double value)
-    {
-        platform.table_params.set(key, value);
-        return *this;
-    }
     ScenarioConfig &
     with_ptemagnet(unsigned group_pages = kPagesPerReservation)
     {

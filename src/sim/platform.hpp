@@ -10,7 +10,6 @@
 #include <string>
 
 #include "cache/hierarchy.hpp"
-#include "common/params.hpp"
 #include "common/types.hpp"
 #include "host/host_kernel.hpp"
 #include "tlb/tlb.hpp"
@@ -51,10 +50,8 @@ struct PlatformConfig {
     std::uint64_t seed = 12345;
 
     /// Translation structure for both the guest and host page tables,
-    /// by pt::make_table name ("radix", "hashed", ...).
+    /// by pt::make_table name ("radix", "hashed").
     std::string translation_table = "radix";
-    /// Table-specific knobs (e.g. "initial_frames" for "hashed").
-    PolicyParams table_params;
 };
 
 }  // namespace ptm::sim

@@ -38,10 +38,10 @@ apply_sweep_param(ScenarioConfig &config, const std::string &param,
 }
 
 /**
- * Text-valued sweep axes: the factory-name parameters sweep registered
- * names directly (with_policy/with_table validate and throw the listing
- * SimError on unknowns); anything else must parse as a number and is
- * forwarded to the numeric overload.
+ * Text-valued sweep axes: the factory-name parameters sweep names
+ * directly (with_policy/with_table/with_workload validate and throw the
+ * listing SimError on unknowns); anything else must parse as a number
+ * and is forwarded to the numeric overload.
  */
 void
 apply_sweep_param(ScenarioConfig &config, const std::string &param,
@@ -179,7 +179,7 @@ SuiteResult::to_json() const
 }
 
 std::string
-SuiteResult::write_json(const std::string &dir) const
+SuiteResult::write_json(const Json &doc, const std::string &dir) const
 {
     std::string out_dir = dir;
     if (out_dir.empty()) {
@@ -198,7 +198,7 @@ SuiteResult::write_json(const std::string &dir) const
         std::ofstream out(tmp_path, std::ios::trunc);
         if (!out)
             ptm_fatal("cannot write '%s'", tmp_path.c_str());
-        out << to_json().dump(2) << '\n';
+        out << doc.dump(2) << '\n';
         out.flush();
         if (!out.good())
             ptm_fatal("short write to '%s'", tmp_path.c_str());
@@ -344,7 +344,8 @@ ExperimentSuite::run(const SuiteOptions &options) const
     }
 
     if (options.write_json) {
-        std::string path = result.write_json(options.json_dir);
+        std::string path =
+            result.write_json(result.to_json(), options.json_dir);
         if (options.announce)
             std::fprintf(stderr, "[suite %s] results -> %s\n",
                          name_.c_str(), path.c_str());
@@ -408,13 +409,6 @@ to_json(const ScenarioConfig &config)
         j.set("policy_params", std::move(params));
     }
     j.set("table", config.resolved_table());
-    if (!config.platform.table_params.empty()) {
-        Json params = Json::object();
-        for (const auto &[key, value] :
-             config.platform.table_params.entries())
-            params.set(key, value);
-        j.set("table_params", std::move(params));
-    }
     j.set("reservation_pages", config.reservation_pages);
     j.set("scale", config.scale);
     j.set("measure_ops", config.measure_ops);
@@ -577,133 +571,15 @@ to_json(const ScenarioResult &result)
     return j;
 }
 
-ScenarioResult
-scenario_result_from_json(const Json &json)
+bool
+same_simulation(const ScenarioResult &a, const ScenarioResult &b)
 {
-    ScenarioResult result;
-    for (const auto &[name, value] : json.at("metrics").as_object())
-        result.metrics.set(name, value.as_double());
-    result.victim_cycles = json.at("victim_cycles").as_u64();
-    result.victim_ops = json.at("victim_ops").as_u64();
-    result.victim_rss_pages = json.at("victim_rss_pages").as_u64();
-
-    const Json &frag = json.at("fragmentation");
-    result.fragmentation.average_hpte_lines =
-        frag.at("average_hpte_lines").as_double();
-    result.fragmentation.fragmented_fraction =
-        frag.at("fragmented_fraction").as_double();
-    result.fragmentation.max_hpte_lines =
-        frag.at("max_hpte_lines").as_double();
-    result.fragmentation.groups = frag.at("groups").as_u64();
-
-    result.peak_unused_reservation_fraction =
-        json.at("peak_unused_reservation_fraction").as_double();
-    result.reservations_created =
-        json.at("reservations_created").as_u64();
-    result.part_hits = json.at("part_hits").as_u64();
-    result.buddy_calls = json.at("buddy_calls").as_u64();
-    // Older BENCH files predate the memory-bloat axis; leave the zero.
-    if (json.contains("provider_held_pages"))
-        result.provider_held_pages =
-            json.at("provider_held_pages").as_u64();
-
-    // Older BENCH files predate the robustness block; leave the zeros.
-    if (json.contains("robustness")) {
-        const Json &rob = json.at("robustness");
-        result.fault_plan_armed = rob.at("fault_plan_armed").as_bool();
-        result.injected_denials = rob.at("injected_denials").as_u64();
-        result.pressure_episodes = rob.at("pressure_episodes").as_u64();
-        result.reclaim_sweeps = rob.at("reclaim_sweeps").as_u64();
-        result.frames_reclaimed = rob.at("frames_reclaimed").as_u64();
-        result.fallback_singles = rob.at("fallback_singles").as_u64();
-        result.oom_events = rob.at("oom_events").as_u64();
-        // Each multi-VM key guarded on its own: documents from single-VM
-        // runs (and older BENCH files) simply lack them.
-        if (rob.contains("host_reclaim_sweeps"))
-            result.host_reclaim_sweeps =
-                rob.at("host_reclaim_sweeps").as_u64();
-        if (rob.contains("host_emergency_sweeps"))
-            result.host_emergency_sweeps =
-                rob.at("host_emergency_sweeps").as_u64();
-        if (rob.contains("host_backoff_waits"))
-            result.host_backoff_waits =
-                rob.at("host_backoff_waits").as_u64();
-        if (rob.contains("host_balloon_pages"))
-            result.host_balloon_pages =
-                rob.at("host_balloon_pages").as_u64();
-        if (rob.contains("host_frames_unbacked"))
-            result.host_frames_unbacked =
-                rob.at("host_frames_unbacked").as_u64();
-        if (rob.contains("oom_kills"))
-            result.oom_kills = rob.at("oom_kills").as_u64();
-        if (rob.contains("churn_boots"))
-            result.churn_boots = rob.at("churn_boots").as_u64();
-        if (rob.contains("churn_kills"))
-            result.churn_kills = rob.at("churn_kills").as_u64();
-        if (rob.contains("churn_forks"))
-            result.churn_forks = rob.at("churn_forks").as_u64();
-        if (rob.contains("churn_boot_failures"))
-            result.churn_boot_failures =
-                rob.at("churn_boot_failures").as_u64();
-        if (rob.contains("vms")) {
-            for (const Json &v : rob.at("vms").as_array()) {
-                VmRecord rec;
-                rec.vm = static_cast<unsigned>(v.at("vm").as_u64());
-                rec.status = v.at("status").as_string();
-                if (v.contains("status_detail"))
-                    rec.status_detail =
-                        v.at("status_detail").as_string();
-                rec.balloon_pages = v.at("balloon_pages").as_u64();
-                rec.frames_repossessed =
-                    v.at("frames_repossessed").as_u64();
-                rec.backed_pages = v.at("backed_pages").as_u64();
-                rec.walk_cycles = v.at("walk_cycles").as_u64();
-                rec.ops = v.at("ops").as_u64();
-                rec.oom_events = v.at("oom_events").as_u64();
-                if (v.contains("ws_estimate_pages"))
-                    rec.ws_estimate_pages =
-                        v.at("ws_estimate_pages").as_u64();
-                result.vms.push_back(std::move(rec));
-            }
-        }
-        // Pre-ring BENCH files lack the block; leave the zeros.
-        if (rob.contains("dirty_ring")) {
-            const Json &ring = rob.at("dirty_ring");
-            result.dirty_ring_armed = true;
-            result.dirty_ring_logged = ring.at("logged").as_u64();
-            result.dirty_ring_harvests = ring.at("harvests").as_u64();
-            result.dirty_ring_epochs = ring.at("epochs").as_u64();
-            result.ws_estimate_pages =
-                ring.at("ws_estimate_pages").as_u64();
-            result.ws_guided_sweeps =
-                ring.at("ws_guided_sweeps").as_u64();
-        }
-    }
-
-    const Json &perf = json.at("sim_perf");
-    result.host_seconds = perf.at("host_seconds").as_double();
-    result.total_ops = perf.at("total_ops").as_u64();
-
-    // Older BENCH files predate the stats block; leave it empty.
-    if (json.contains("stats")) {
-        for (const auto &[path, value] : json.at("stats").as_object()) {
-            if (value.is_object()) {
-                obs::HistogramSummary h;
-                h.count = value.at("count").as_u64();
-                h.sum = value.at("sum").as_u64();
-                h.min = value.at("min").as_u64();
-                h.max = value.at("max").as_u64();
-                h.mean = value.at("mean").as_double();
-                h.p50 = value.at("p50").as_u64();
-                h.p90 = value.at("p90").as_u64();
-                h.p99 = value.at("p99").as_u64();
-                result.stats.add_histogram(path, h);
-            } else {
-                result.stats.add_counter(path, value.as_double());
-            }
-        }
-    }
-    return result;
+    auto simulated = [](const ScenarioResult &result) {
+        Json j = to_json(result);
+        j.set("sim_perf", nullptr);
+        return j.dump();
+    };
+    return simulated(a) == simulated(b);
 }
 
 }  // namespace ptm::sim

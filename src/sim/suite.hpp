@@ -114,13 +114,15 @@ class SuiteResult {
     Json to_json() const;
 
     /**
-     * Write to_json() to `<dir>/BENCH_<suite>.json`. @p dir defaults to
-     * $PTM_BENCH_DIR, falling back to the working directory. Returns the
-     * path written. Crash-safe: the document is written to a temporary
-     * file and atomically renamed into place, so a reader (or a crash
-     * mid-write) never observes a truncated BENCH file.
+     * Write @p doc — to_json(), or a bench's extension of it — to
+     * `<dir>/BENCH_<suite>.json`. @p dir defaults to $PTM_BENCH_DIR,
+     * falling back to the working directory. Returns the path written.
+     * Crash-safe: the document is written to a temporary file and
+     * atomically renamed into place, so a reader (or a crash mid-write)
+     * never observes a truncated BENCH file.
      */
-    std::string write_json(const std::string &dir = "") const;
+    std::string write_json(const Json &doc,
+                           const std::string &dir = "") const;
 
   private:
     friend class ExperimentSuite;
@@ -166,10 +168,10 @@ class ExperimentSuite {
 
     /**
      * Text-valued parameter sweep, for the factory-name axes: "policy"
-     * sweeps ScenarioConfig::with_policy over registered allocation
-     * policies, "table" sweeps with_table over translation structures —
-     * both fail fast (SimError listing registered names) on unknown
-     * values. Any numeric parameter of the double overload also works
+     * sweeps ScenarioConfig::with_policy over allocation policies,
+     * "table" sweeps with_table over translation structures, "workload"
+     * sweeps with_workload over victims — all fail fast (SimError
+     * listing the known names) on unknown values. Any numeric parameter of the double overload also works
      * with its value spelled as text. Entries are named
      * "<label>/<param>=<value>" and default to RunKind::Single, since a
      * swept policy IS the run's treatment.
@@ -214,8 +216,11 @@ void print_improvement_table(const SuiteResult &result,
 Json to_json(const ScenarioConfig &config);
 Json to_json(const ScenarioResult &result);
 
-/// Inverse of to_json(const ScenarioResult&); used by tooling and the
-/// round-trip tests.
-ScenarioResult scenario_result_from_json(const Json &json);
+/**
+ * True iff @p a and @p b serialize identically apart from "sim_perf"
+ * (host timing): every simulated field, the stats snapshot included.
+ * Numbers are dumped with %.17g, so the comparison is exact.
+ */
+bool same_simulation(const ScenarioResult &a, const ScenarioResult &b);
 
 }  // namespace ptm::sim

@@ -4,10 +4,10 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "core/provider_factory.hpp"
 #include "core/ptemagnet_provider.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/fault_injection.hpp"
-#include "vm/provider_factory.hpp"
 #include "workload/catalog.hpp"
 
 namespace ptm::sim {
@@ -73,10 +73,8 @@ System::System(const PlatformConfig &config, unsigned num_cores)
 {
     host_ = std::make_unique<host::HostKernel>(config_.host_frames,
                                                config_.host_costs);
-    if (config_.translation_table != "radix") {
-        host_->set_translation_table(config_.translation_table,
-                                     config_.table_params);
-    }
+    if (config_.translation_table != "radix")
+        host_->set_translation_table(config_.translation_table);
 
     // VM 0 boots first so the registration order of single-VM runs stays
     // exactly historic: "vm0" -> "host" -> "vm0.hier".
@@ -148,10 +146,8 @@ System::boot_slot(std::uint64_t guest_frames, bool churn_booted)
     slot->guest = std::make_unique<vm::GuestKernel>(
         guest_frames != 0 ? guest_frames : config_.guest_frames,
         config_.guest_costs);
-    if (config_.translation_table != "radix") {
-        slot->guest->set_translation_table(config_.translation_table,
-                                           config_.table_params);
-    }
+    if (config_.translation_table != "radix")
+        slot->guest->set_translation_table(config_.translation_table);
 
     slot->host_ctx = mmu::HostContext{
         .page_table = &slot->vm->page_table(),
@@ -185,9 +181,9 @@ System::boot_slot(std::uint64_t guest_frames, bool churn_booted)
 }
 
 unsigned
-System::boot_vm(std::uint64_t guest_frames)
+System::boot_vm()
 {
-    return boot_slot(guest_frames, /*churn_booted=*/false);
+    return boot_slot(0, /*churn_booted=*/false);
 }
 
 void
@@ -200,7 +196,7 @@ System::set_policy(unsigned index, const std::string &name,
             ptm_fatal("set the allocation policy before adding jobs");
     }
     std::unique_ptr<vm::PhysicalPageProvider> provider =
-        vm::make_provider(name, slot.guest.get(), params);
+        core::make_provider(name, slot.guest.get(), params);
     slot.ptemagnet = dynamic_cast<core::PtemagnetProvider *>(provider.get());
     provider->register_stats(registry_, slot.prefix + ".provider");
     slot.guest->set_provider(std::move(provider));
@@ -235,7 +231,7 @@ System::set_overcommit(const OvercommitPolicy &policy)
     if (!policy.armed())
         return;
     if (policy.high_watermark_frames < policy.low_watermark_frames)
-        ptm_fatal("overcommit high watermark below the low watermark");
+        ptm_throw("overcommit high watermark below the low watermark");
     overcommit_ = policy;
     backoff_ = overcommit_.backoff_initial;
     next_sweep_tick_ = 0;

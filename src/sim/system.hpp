@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cache/hierarchy.hpp"
+#include "common/params.hpp"
 #include "common/stats.hpp"
 #include "host/host_kernel.hpp"
 #include "mmu/nested_walker.hpp"
@@ -150,14 +151,14 @@ class System {
     System &operator=(const System &) = delete;
 
     /**
-     * Boot an additional guest VM sharing this host. Its components
-     * register under "vm<K>.*"; it starts with the kernel's default
-     * buddy provider (see the two-argument set_policy).
-     * @param guest_frames guest-physical size; 0 = the platform default.
+     * Boot an additional guest VM of the platform's guest size sharing
+     * this host. Its components register under "vm<K>.*"; it starts with
+     * the kernel's default buddy provider (see the two-argument
+     * set_policy).
      * @return the new VM's slot index.
      * @throws SimError when the host cannot back the VM's boot frames.
      */
-    unsigned boot_vm(std::uint64_t guest_frames = 0);
+    unsigned boot_vm();
 
     unsigned num_vms() const { return static_cast<unsigned>(slots_.size()); }
     bool vm_alive(unsigned index) const { return slot_at(index).alive; }
@@ -167,7 +168,7 @@ class System {
      * Install VM @p index's guest allocation policy by factory name (call
      * before that VM has jobs, at most once per VM). Registers the
      * provider's counters under "vm<K>.provider".
-     * @throws SimError if @p name is not registered.
+     * @throws SimError if @p name is unknown.
      */
     void set_policy(unsigned index, const std::string &name,
                     const PolicyParams &params = {});
@@ -192,6 +193,7 @@ class System {
      * backoff, OOM-kill). Call at most once, before running; a policy
      * with armed() == false is a no-op. Registers daemon counters under
      * "host.overcommit".
+     * @throws SimError when the high watermark is below the low one.
      */
     void set_overcommit(const OvercommitPolicy &policy);
     const OvercommitStats &overcommit_stats() const { return ocstats_; }

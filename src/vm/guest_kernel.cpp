@@ -30,18 +30,13 @@ GuestKernel::set_provider(std::unique_ptr<PhysicalPageProvider> provider)
 }
 
 void
-GuestKernel::set_translation_table(const std::string &name,
-                                   PolicyParams params)
+GuestKernel::set_translation_table(const std::string &name)
 {
     if (!processes_.empty())
         ptm_fatal("cannot change the translation table with live "
                   "processes");
-    if (!pt::table_registered(name)) {
-        // Fail the same way make_table would, before a process exists.
-        pt::make_table(name, pt_frame_source(0), params);
-    }
+    pt::require_table(name);
     table_name_ = name;
-    table_params_ = std::move(params);
 }
 
 pt::FrameSource
@@ -71,7 +66,7 @@ GuestKernel::create_process(const std::string &name)
     std::int32_t pid = next_pid_++;
     auto proc = std::make_unique<Process>(
         pid, name,
-        pt::make_table(table_name_, pt_frame_source(pid), table_params_));
+        pt::make_table(table_name_, pt_frame_source(pid)));
     Process &ref = *proc;
     processes_.emplace(pid, std::move(proc));
     return ref;

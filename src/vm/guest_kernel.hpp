@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/params.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/buddy_allocator.hpp"
@@ -105,10 +104,9 @@ class GuestKernel {
      * Select the translation-table structure (pt::make_table name) used
      * by processes created from now on. Must be called before any process
      * exists; defaults to "radix".
-     * @throws SimError if @p name is not registered.
+     * @throws SimError if @p name is unknown.
      */
-    void set_translation_table(const std::string &name,
-                               PolicyParams params = {});
+    void set_translation_table(const std::string &name);
     const std::string &translation_table() const { return table_name_; }
 
     /// Spawn a new process.
@@ -227,7 +225,6 @@ class GuestKernel {
     mem::PhysicalMemory memory_;
     std::unique_ptr<PhysicalPageProvider> provider_;
     std::string table_name_ = "radix";
-    PolicyParams table_params_;
     std::map<std::int32_t, std::unique_ptr<Process>> processes_;
     /// COW frame reference counts (only frames shared by >= 2 mappings).
     std::unordered_map<std::uint64_t, std::uint32_t> shared_frames_;

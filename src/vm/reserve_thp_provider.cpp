@@ -34,7 +34,7 @@ ReserveThpProvider::ReserveThpProvider(GuestKernel *kernel,
     if (kernel == nullptr)
         ptm_fatal("reserve-thp provider needs a kernel");
     if (promotion_threshold_ > kRegionPages)
-        ptm_fatal("promotion threshold %llu exceeds region size %u",
+        ptm_throw("promotion threshold %llu exceeds region size %u",
                   static_cast<unsigned long long>(promotion_threshold_),
                   kRegionPages);
 }
@@ -91,7 +91,7 @@ ReserveThpProvider::allocate_page(Process &proc, std::uint64_t gvpn)
     for (unsigned i = 0; i < kRegionPages; ++i) {
         if (i == offset)
             continue;  // the kernel maps the faulting page itself
-        kernel_->memory().set_use(*base + i, 1, mem::FrameUse::Kernel,
+        kernel_->memory().set_use(*base + i, 1, mem::FrameUse::Reserved,
                                   proc.pid());
         region.held.set(i);
     }
@@ -146,7 +146,7 @@ ReserveThpProvider::on_page_freed(Process &proc, std::uint64_t gvpn,
         return FreeDisposition::ReturnToBuddy;  // COW copy or fallback page
     // The page still sits in its reserved slot: park it again so a later
     // fault (or promotion) reuses it contiguously.
-    kernel_->memory().set_use(gfn, 1, mem::FrameUse::Kernel, proc.pid());
+    kernel_->memory().set_use(gfn, 1, mem::FrameUse::Reserved, proc.pid());
     region.held.set(offset);
     return FreeDisposition::KeptByProvider;
 }

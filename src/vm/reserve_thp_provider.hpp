@@ -56,6 +56,7 @@ class ReserveThpProvider final : public PhysicalPageProvider {
     /// Buddy order of one region.
     static constexpr unsigned kRegionOrder = 9;
 
+    /// @throws SimError when @p promotion_threshold exceeds kRegionPages.
     explicit ReserveThpProvider(GuestKernel *kernel,
                                 std::uint64_t promotion_threshold = 64);
 

@@ -27,15 +27,15 @@ struct CorunnerSpec {
 };
 
 // Catalog presets are built through workload_factory.hpp's
-// make_workload(). Registered catalog names:
+// make_workload(). Catalog names:
 //  - benchmarks: cc, bfs, nibble, pagerank, gcc, mcf, omnetpp, xz
 //  - low-TLB-pressure SPEC'17 Int class: perlbench, x264, deepsjeng,
 //    leela, exchange2, xalancbmk
 //  - co-runners: objdet, stress-ng, chameleon, pyaes, json_serdes,
 //    rnn_serving (gcc and xz double as co-runners, per Table 3)
 //  - microbenchmarks: alloc_sweep (§6.4)
-// The serving tier (kv_tier, fork_storm, ws_estimate) registers from
-// serving.cpp.
+// The serving tier (kv_tier, fork_storm, ws_estimate, serving.hpp)
+// shares the same name table in catalog.cpp.
 
 /// The eight evaluated benchmarks, in the paper's figure order.
 const std::vector<std::string> &benchmark_names();

@@ -342,25 +342,4 @@ WsEstimateWorkload::next(WorkloadContext &)
     return op;
 }
 
-// ---------------------------------------------------------------------
-
-namespace detail {
-
-void
-register_serving_workloads()
-{
-    register_workload("kv_tier", [](const WorkloadOptions &options) {
-        return std::make_unique<KvTierWorkload>("kv_tier", options);
-    });
-    register_workload("fork_storm", [](const WorkloadOptions &options) {
-        return std::make_unique<ForkStormWorkload>("fork_storm", options);
-    });
-    register_workload("ws_estimate", [](const WorkloadOptions &options) {
-        return std::make_unique<WsEstimateWorkload>("ws_estimate",
-                                                    options);
-    });
-}
-
-}  // namespace detail
-
 }  // namespace ptm::workload

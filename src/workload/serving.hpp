@@ -18,7 +18,8 @@
  *                the driver workload for PML-style working-set
  *                estimation (obs/dirty_ring.hpp).
  *
- * All three register with workload_factory.cpp under those names.
+ * All three are rows of the workload table (catalog.cpp) under those
+ * names.
  */
 #pragma once
 

@@ -1,23 +1,21 @@
 /**
  * @file
- * String-keyed registry of workload generators — the third factory of
- * the trio (vm::provider_factory for allocation policies,
- * pt::table_factory for translation structures, this one for the op
+ * Workload generators by name — the third name table of the trio
+ * (core/provider_factory.hpp for allocation policies,
+ * pt/table_factory.hpp for translation structures, this one for the op
  * streams driving them).
  *
  * Workloads are chosen by name in ScenarioConfig ("pagerank",
  * "kv_tier", ...) with a WorkloadParams bag carrying generator-specific
- * knobs, so new generators need no catalog edits and become sweepable by
- * the suite "workload" axis immediately. The catalog presets
- * (catalog.cpp) and the serving tier (serving.cpp) register themselves
- * here; other generators call register_workload().
+ * knobs. The table is fixed and lives in catalog.cpp: the catalog
+ * presets plus the serving tier (serving.hpp). Adding a generator is one
+ * implementation plus one row there.
  *
- * Unknown names fail fast with a SimError listing every registered name.
+ * Unknown names fail fast with a SimError listing every name.
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -40,34 +38,21 @@ struct WorkloadOptions {
                                ///< are ignored by convention
 };
 
-/// Constructor signature for registered workloads. The registered name is
-/// captured by the ctor itself (it seeds the generator's RNG).
-using WorkloadCtor =
-    std::function<std::unique_ptr<Workload>(const WorkloadOptions &)>;
-
-/// Register @p ctor under @p name; replaces an existing registration.
-void register_workload(const std::string &name, WorkloadCtor ctor);
-
-/// True iff @p name has a registered constructor.
-bool workload_registered(const std::string &name);
+/// @throws SimError listing every workload name if @p name is unknown.
+void require_workload(const std::string &name);
 
 /**
- * Construct the workload registered under @p name.
- * @throws SimError listing registered names if @p name is unknown.
+ * Construct the workload named @p name.
+ * @throws SimError listing every workload name if @p name is unknown.
  */
 std::unique_ptr<Workload>
 make_workload(const std::string &name, const WorkloadOptions &options = {});
 
 namespace detail {
 
-/// Built-in registration hooks, referenced by name from the factory so a
-/// static-library link can never dead-strip the catalog or serving TU.
-void register_catalog_workloads();
-void register_serving_workloads();
-
-/// Per-workload seed derivation shared by every registered generator.
-/// Part of the stream identity: the golden snapshot depends on it, so
-/// the formula must never change.
+/// Per-workload seed derivation shared by every generator. Part of the
+/// stream identity: the golden snapshot depends on it, so the formula
+/// must never change.
 std::uint64_t mix_seed(const std::string &name, std::uint64_t seed);
 
 }  // namespace detail

@@ -190,24 +190,6 @@ tiny_config()
     return config;
 }
 
-void
-expect_identical(const ScenarioResult &a, const ScenarioResult &b)
-{
-    EXPECT_EQ(a.metrics.values(), b.metrics.values());
-    EXPECT_EQ(a.victim_cycles, b.victim_cycles);
-    EXPECT_EQ(a.victim_ops, b.victim_ops);
-    EXPECT_EQ(a.victim_rss_pages, b.victim_rss_pages);
-    EXPECT_EQ(a.reservations_created, b.reservations_created);
-    EXPECT_EQ(a.part_hits, b.part_hits);
-    EXPECT_EQ(a.buddy_calls, b.buddy_calls);
-    EXPECT_EQ(a.injected_denials, b.injected_denials);
-    EXPECT_EQ(a.pressure_episodes, b.pressure_episodes);
-    EXPECT_EQ(a.reclaim_sweeps, b.reclaim_sweeps);
-    EXPECT_EQ(a.frames_reclaimed, b.frames_reclaimed);
-    EXPECT_EQ(a.fallback_singles, b.fallback_singles);
-    EXPECT_EQ(a.oom_events, b.oom_events);
-}
-
 TEST(FaultInjectionScenarioTest, PressureDrivesReclaimAndRunCompletes)
 {
     ScenarioResult run = run_scenario(
@@ -272,7 +254,7 @@ TEST(FaultInjectionScenarioTest, SamePlanSeedIsBitIdentical)
                                      .periodic_pressure(700));
         ScenarioResult first = run_scenario(config);
         ScenarioResult second = run_scenario(config);
-        expect_identical(first, second);
+        EXPECT_TRUE(same_simulation(first, second));
         EXPECT_GT(first.injected_denials, 0u);
         EXPECT_GT(first.pressure_episodes, 0u);
         EXPECT_GE(first.victim_ops, 10'000u);
@@ -327,12 +309,12 @@ TEST(SuiteIsolationTest, FailedEntryLeavesSiblingsBitIdentical)
     EXPECT_EQ(failed_run.failed_count(), 1u);
 
     // Siblings are untouched by the failure.
-    expect_identical(failed_run.at("alpha").paired.baseline,
-                     control_run.at("alpha").paired.baseline);
-    expect_identical(failed_run.at("alpha").paired.ptemagnet,
-                     control_run.at("alpha").paired.ptemagnet);
-    expect_identical(failed_run.at("omega").single,
-                     control_run.at("omega").single);
+    EXPECT_TRUE(same_simulation(failed_run.at("alpha").paired.baseline,
+                                control_run.at("alpha").paired.baseline));
+    EXPECT_TRUE(same_simulation(failed_run.at("alpha").paired.ptemagnet,
+                                control_run.at("alpha").paired.ptemagnet));
+    EXPECT_TRUE(same_simulation(failed_run.at("omega").single,
+                                control_run.at("omega").single));
     EXPECT_FALSE(failed_run.at("alpha").failed());
     EXPECT_FALSE(failed_run.at("omega").failed());
 
@@ -362,8 +344,8 @@ TEST(SuiteIsolationTest, ArmedSuiteIsBitIdenticalAcrossThreadCounts)
     ASSERT_EQ(parallel.entries().size(), 3u);
     for (std::size_t i = 0; i < serial.entries().size(); ++i) {
         EXPECT_FALSE(serial.entries()[i].failed());
-        expect_identical(serial.entries()[i].single,
-                         parallel.entries()[i].single);
+        EXPECT_TRUE(same_simulation(serial.entries()[i].single,
+                                    parallel.entries()[i].single));
     }
     // The armed legs actually exercised the pressure machinery.
     EXPECT_GT(serial.at("pagerank/pressure_every=500")

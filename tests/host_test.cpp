@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "host/host_kernel.hpp"
+#include "pt/hashed_page_table.hpp"
 
 namespace ptm::host {
 namespace {
@@ -97,10 +98,10 @@ TEST(HostKernel, HashedVmBootPastCapacityThrowsAndLeaksNothing)
 {
     // The hashed table allocates its bucket array at boot; a refused
     // boot must release any frames it already took.
-    HostKernel host(12);
-    host.set_translation_table("hashed",
-                               PolicyParams{{"initial_frames", 8.0}});
-    host.create_vm();  // takes 8 of the 12 frames
+    static_assert(pt::HashedPageTable::kInitialFrames == 4);
+    HostKernel host(6);
+    host.set_translation_table("hashed");
+    host.create_vm();  // takes 4 of the 6 frames
     const std::uint64_t free_before = host.buddy().free_frames_count();
     EXPECT_THROW(host.create_vm(), SimError);
     EXPECT_EQ(host.buddy().free_frames_count(), free_before);

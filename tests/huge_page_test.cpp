@@ -6,8 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/provider_factory.hpp"
 #include "vm/guest_kernel.hpp"
-#include "vm/provider_factory.hpp"
 #include "vm/reserve_thp_provider.hpp"
 
 namespace ptm::vm {
@@ -17,7 +17,7 @@ namespace {
 ReserveThpProvider *
 install_thp(GuestKernel &kernel)
 {
-    auto provider = make_provider("thp", &kernel, {});
+    auto provider = core::make_provider("thp", &kernel, {});
     auto *raw = dynamic_cast<ReserveThpProvider *>(provider.get());
     EXPECT_NE(raw, nullptr);
     kernel.set_provider(std::move(provider));
@@ -73,7 +73,7 @@ TEST_F(HugePageTest, PartialVmaLeavesUnusedBackedFrames)
 
     EXPECT_EQ(proc.rss_pages(), 64u);
     EXPECT_EQ(provider_->held_frames(), 512u - 64u);
-    EXPECT_EQ(kernel_.memory().count_use(mem::FrameUse::Kernel,
+    EXPECT_EQ(kernel_.memory().count_use(mem::FrameUse::Reserved,
                                          proc.pid()),
               512u - 64u);
 }
@@ -138,7 +138,7 @@ TEST_F(HugePageTest, FreedPageIsParkedAndReclaimable)
     // deferred split of a partly unmapped THP) instead of freeing it.
     kernel_.free_page(proc, gvpn + 7);
     EXPECT_EQ(provider_->held_frames(), 1u);
-    EXPECT_EQ(kernel_.memory().info(gfn).use, mem::FrameUse::Kernel);
+    EXPECT_EQ(kernel_.memory().info(gfn).use, mem::FrameUse::Reserved);
     EXPECT_EQ(kernel_.buddy().free_frames_count(), free_before);
 
     // Pressure hands it back to the buddy.

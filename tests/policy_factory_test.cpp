@@ -1,13 +1,12 @@
 /**
  * @file
- * Factory/registry tests: the allocation-policy and translation-table
- * registries, their fail-fast error listings, the fluent ScenarioConfig
- * surface, the full {policy x table} scenario round-trip (through JSON),
- * and the hashed-vs-radix equivalence property test.
+ * Factory tests: the allocation-policy and translation-table name
+ * tables, their fail-fast error listings, the fluent ScenarioConfig
+ * surface, the full {policy x table} scenario run and its JSON, and the
+ * hashed-vs-radix equivalence property test.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,97 +14,117 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/provider_factory.hpp"
 #include "mem/buddy_allocator.hpp"
 #include "pt/hashed_page_table.hpp"
 #include "pt/page_table.hpp"
 #include "pt/table_factory.hpp"
 #include "sim/suite.hpp"
 #include "vm/guest_kernel.hpp"
-#include "vm/provider_factory.hpp"
 
 namespace ptm::sim {
 namespace {
 
-bool
-contains(const std::vector<std::string> &names, const std::string &name)
+/// The SimError message @p fn throws; fails the test if it throws none.
+template <typename Fn>
+std::string
+error_of(Fn fn)
 {
-    return std::find(names.begin(), names.end(), name) != names.end();
+    try {
+        fn();
+    } catch (const SimError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected SimError";
+    return "";
 }
 
-// ---- registries ------------------------------------------------------
+// ---- name tables -----------------------------------------------------
 
 TEST(ProviderFactory, BuiltinPoliciesAreRegistered)
 {
-    const std::vector<std::string> names = vm::registered_providers();
-    EXPECT_TRUE(contains(names, "buddy"));
-    EXPECT_TRUE(contains(names, "ptemagnet"));
-    EXPECT_TRUE(contains(names, "thp"));
-    EXPECT_TRUE(contains(names, "reserve_thp"));
-    EXPECT_GE(names.size(), 4u);
-    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    // The order ablation_policies enumerates.
+    EXPECT_EQ(core::provider_names(),
+              (std::vector<std::string>{"buddy", "ptemagnet",
+                                        "reserve_thp", "thp"}));
 }
 
 TEST(TableFactory, BuiltinTablesAreRegistered)
 {
-    const std::vector<std::string> names = pt::registered_tables();
-    EXPECT_TRUE(contains(names, "radix"));
-    EXPECT_TRUE(contains(names, "hashed"));
-    EXPECT_GE(names.size(), 2u);
-    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    EXPECT_EQ(pt::table_names(),
+              (std::vector<std::string>{"hashed", "radix"}));
 }
 
 TEST(ProviderFactory, UnknownPolicyFailsFastListingNames)
 {
     vm::GuestKernel guest(1024);
-    try {
-        vm::make_provider("no_such_policy", &guest, {});
-        FAIL() << "expected SimError";
-    } catch (const SimError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("no_such_policy"), std::string::npos);
-        EXPECT_NE(what.find("buddy"), std::string::npos);
-        EXPECT_NE(what.find("ptemagnet"), std::string::npos);
-        EXPECT_NE(what.find("reserve_thp"), std::string::npos);
-        // The origin is named from the repository root, not the checkout.
-        EXPECT_NE(what.find("(src/vm/provider_factory.cpp:"),
-                  std::string::npos)
-            << what;
-    }
+    const std::string what = error_of(
+        [&guest]() { core::make_provider("no_such_policy", &guest, {}); });
+    EXPECT_NE(what.find("no_such_policy"), std::string::npos);
+    EXPECT_NE(what.find("buddy, ptemagnet, reserve_thp, thp"),
+              std::string::npos)
+        << what;
+    // The origin is named from the repository root, not the checkout.
+    EXPECT_NE(what.find("(src/core/provider_factory.cpp:"),
+              std::string::npos)
+        << what;
+    // Config-build time and the system fail from that same place.
+    EXPECT_EQ(error_of([]() {
+                  ScenarioConfig{}.with_policy("no_such_policy");
+              }),
+              what);
+    EXPECT_EQ(error_of([]() {
+                  System system(PlatformConfig{}, 1);
+                  system.set_policy("no_such_policy");
+              }),
+              what);
 }
 
 TEST(TableFactory, UnknownTableFailsFastListingNames)
 {
-    try {
-        pt::make_table("no_such_table", pt::FrameSource{}, {});
-        FAIL() << "expected SimError";
-    } catch (const SimError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("no_such_table"), std::string::npos);
-        EXPECT_NE(what.find("radix"), std::string::npos);
-        EXPECT_NE(what.find("hashed"), std::string::npos);
-    }
+    const std::string what = error_of(
+        []() { pt::make_table("no_such_table", pt::FrameSource{}); });
+    EXPECT_NE(what.find("no_such_table"), std::string::npos);
+    EXPECT_NE(what.find("hashed, radix"), std::string::npos) << what;
+    EXPECT_NE(what.find("(src/pt/table_factory.cpp:"), std::string::npos)
+        << what;
+    // Config-build time and both kernels fail from that same place.
+    EXPECT_EQ(error_of([]() {
+                  ScenarioConfig{}.with_table("no_such_table");
+              }),
+              what);
+    EXPECT_EQ(error_of([]() {
+                  vm::GuestKernel guest(1024);
+                  guest.set_translation_table("no_such_table");
+              }),
+              what);
+    EXPECT_EQ(error_of([]() {
+                  host::HostKernel host(1024);
+                  host.set_translation_table("no_such_table");
+              }),
+              what);
 }
 
 TEST(ProviderFactory, EveryRegisteredPolicyConstructs)
 {
-    for (const std::string &name : vm::registered_providers()) {
+    for (const std::string &name : core::provider_names()) {
         vm::GuestKernel guest(4 * 1024);
         std::unique_ptr<vm::PhysicalPageProvider> provider =
-            vm::make_provider(name, &guest, {});
+            core::make_provider(name, &guest, {});
         ASSERT_NE(provider, nullptr) << name;
     }
 }
 
 TEST(TableFactory, EveryRegisteredTableConstructsAndMaps)
 {
-    for (const std::string &name : pt::registered_tables()) {
+    for (const std::string &name : pt::table_names()) {
         mem::BuddyAllocator buddy(0, 4096);
         pt::FrameSource source{
             .allocate = [&buddy]() { return buddy.allocate_frame(); },
             .release = [&buddy](std::uint64_t f) { buddy.free(f); },
         };
         std::unique_ptr<pt::TranslationTable> table =
-            pt::make_table(name, source, {});
+            pt::make_table(name, source);
         ASSERT_NE(table, nullptr) << name;
         EXPECT_EQ(table->name(), name);
         EXPECT_TRUE(table->map(42, {.writable = true, .frame = 7}));
@@ -122,14 +141,12 @@ TEST(ScenarioConfigFluent, PolicyAndTableByName)
     ScenarioConfig config = ScenarioConfig{}
                                 .with_policy("reserve_thp")
                                 .with_policy_param("promotion_threshold", 64)
-                                .with_table("hashed")
-                                .with_table_param("initial_frames", 8);
+                                .with_table("hashed");
     EXPECT_EQ(config.resolved_policy(), "reserve_thp");
     EXPECT_EQ(config.resolved_policy_params().get_u64(
                   "promotion_threshold"),
               64u);
     EXPECT_EQ(config.resolved_table(), "hashed");
-    EXPECT_EQ(config.platform.table_params.get_u64("initial_frames"), 8u);
 }
 
 TEST(ScenarioConfigFluent, UnknownNamesThrowAtConfigTime)
@@ -197,8 +214,8 @@ tiny_config()
 
 TEST(PolicyZoo, EveryPolicyTableComboRunsAndRoundTrips)
 {
-    for (const std::string &policy : vm::registered_providers()) {
-        for (const std::string &table : pt::registered_tables()) {
+    for (const std::string &policy : core::provider_names()) {
+        for (const std::string &table : pt::table_names()) {
             ScenarioConfig config =
                 tiny_config().with_policy(policy).with_table(table);
             ScenarioResult result = run_scenario(config);
@@ -210,15 +227,17 @@ TEST(PolicyZoo, EveryPolicyTableComboRunsAndRoundTrips)
             EXPECT_EQ(cfg.at("policy").as_string(), policy);
             EXPECT_EQ(cfg.at("table").as_string(), table);
 
-            // Result JSON round-trips, including the bloat axis.
-            ScenarioResult back =
-                scenario_result_from_json(to_json(result));
-            EXPECT_EQ(back.victim_cycles, result.victim_cycles);
-            EXPECT_EQ(back.victim_ops, result.victim_ops);
-            EXPECT_EQ(back.provider_held_pages,
+            // Result JSON carries the run, including the bloat axis, and
+            // parses back to the same document.
+            Json doc = to_json(result);
+            EXPECT_EQ(doc.at("victim_cycles").as_u64(),
+                      result.victim_cycles);
+            EXPECT_EQ(doc.at("victim_ops").as_u64(), result.victim_ops);
+            EXPECT_EQ(doc.at("provider_held_pages").as_u64(),
                       result.provider_held_pages);
-            EXPECT_EQ(back.metrics.get("page_walk_cycles"),
+            EXPECT_EQ(doc.at("metrics").at("page_walk_cycles").as_double(),
                       result.metrics.get("page_walk_cycles"));
+            EXPECT_EQ(Json::parse(doc.dump()).dump(), doc.dump());
         }
     }
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Cloud-serving workload tier tests: the string-keyed workload factory
- * (fail-fast unknown names, params-keyed stream memoization), Zipfian
+ * Cloud-serving workload tier tests: the workload name table (fail-fast
+ * unknown names, params-keyed stream memoization), Zipfian
  * sampler statistics, determinism of the kv_tier / fork_storm / ws_estimate
  * generators across repeats and suite thread counts, and the armed
  * dirty ring's pure-observer contract.
@@ -25,12 +25,12 @@ namespace {
 
 TEST(WorkloadFactory, ServingTierAndCatalogShareTheRegistry)
 {
-    EXPECT_TRUE(workload::workload_registered("kv_tier"));
-    EXPECT_TRUE(workload::workload_registered("fork_storm"));
-    EXPECT_TRUE(workload::workload_registered("ws_estimate"));
-    // Catalog benchmarks come through the same factory.
-    EXPECT_TRUE(workload::workload_registered("pagerank"));
-    EXPECT_TRUE(workload::workload_registered("stress-ng"));
+    EXPECT_NO_THROW(workload::require_workload("kv_tier"));
+    EXPECT_NO_THROW(workload::require_workload("fork_storm"));
+    EXPECT_NO_THROW(workload::require_workload("ws_estimate"));
+    // Catalog benchmarks come through the same table.
+    EXPECT_NO_THROW(workload::require_workload("pagerank"));
+    EXPECT_NO_THROW(workload::require_workload("stress-ng"));
 
     workload::WorkloadOptions options;
     options.scale = 0.1;
@@ -42,19 +42,25 @@ TEST(WorkloadFactory, ServingTierAndCatalogShareTheRegistry)
 
 TEST(WorkloadFactory, UnknownNameFailsFastListingRegistered)
 {
-    EXPECT_THROW(workload::make_workload("no_such_workload", {}),
-                 SimError);
+    std::string what;
     try {
         workload::make_workload("no_such_workload", {});
         FAIL() << "expected SimError";
     } catch (const SimError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("no_such_workload"), std::string::npos);
-        EXPECT_NE(what.find("kv_tier"), std::string::npos);
+        what = e.what();
     }
-    // The fluent config setter fails at config-build time the same way.
-    EXPECT_THROW(ScenarioConfig{}.with_workload("no_such_workload"),
-                 SimError);
+    EXPECT_NE(what.find("no_such_workload"), std::string::npos);
+    EXPECT_NE(what.find("kv_tier"), std::string::npos);
+    EXPECT_NE(what.find("(src/workload/catalog.cpp:"), std::string::npos)
+        << what;
+    // The fluent config setter fails at config-build time, from the same
+    // place.
+    try {
+        ScenarioConfig{}.with_workload("no_such_workload");
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.what(), what);
+    }
 }
 
 TEST(WorkloadFactory, WorkloadSweepAxisSelectsVictims)

@@ -155,27 +155,6 @@ quiet(unsigned threads)
     return options;
 }
 
-void
-expect_identical(const ScenarioResult &a, const ScenarioResult &b)
-{
-    EXPECT_EQ(a.metrics.values(), b.metrics.values());
-    EXPECT_EQ(a.victim_cycles, b.victim_cycles);
-    EXPECT_EQ(a.victim_ops, b.victim_ops);
-    EXPECT_EQ(a.victim_rss_pages, b.victim_rss_pages);
-    EXPECT_EQ(a.fragmentation.average_hpte_lines,
-              b.fragmentation.average_hpte_lines);
-    EXPECT_EQ(a.fragmentation.fragmented_fraction,
-              b.fragmentation.fragmented_fraction);
-    EXPECT_EQ(a.fragmentation.max_hpte_lines,
-              b.fragmentation.max_hpte_lines);
-    EXPECT_EQ(a.fragmentation.groups, b.fragmentation.groups);
-    EXPECT_EQ(a.peak_unused_reservation_fraction,
-              b.peak_unused_reservation_fraction);
-    EXPECT_EQ(a.reservations_created, b.reservations_created);
-    EXPECT_EQ(a.part_hits, b.part_hits);
-    EXPECT_EQ(a.buddy_calls, b.buddy_calls);
-}
-
 // ---- ExperimentSuite --------------------------------------------------
 
 TEST(SuiteTest, ParallelExecutionMatchesSerialBitForBit)
@@ -194,10 +173,12 @@ TEST(SuiteTest, ParallelExecutionMatchesSerialBitForBit)
         EXPECT_EQ(s.entry.name, p.entry.name);
         ASSERT_EQ(s.is_paired(), p.is_paired());
         if (s.is_paired()) {
-            expect_identical(s.paired.baseline, p.paired.baseline);
-            expect_identical(s.paired.ptemagnet, p.paired.ptemagnet);
+            EXPECT_TRUE(same_simulation(s.paired.baseline,
+                                        p.paired.baseline));
+            EXPECT_TRUE(same_simulation(s.paired.ptemagnet,
+                                        p.paired.ptemagnet));
         } else {
-            expect_identical(s.single, p.single);
+            EXPECT_TRUE(same_simulation(s.single, p.single));
         }
     }
 }
@@ -216,8 +197,8 @@ TEST(SuiteTest, PairedEntryRunsBothPolicies)
     EXPECT_GT(entry.paired.ptemagnet.reservations_created, 0u);
     // And the pair matches what the serial primitive produces.
     PairedResult direct = run_paired(tiny_config("pagerank"));
-    expect_identical(entry.paired.baseline, direct.baseline);
-    expect_identical(entry.paired.ptemagnet, direct.ptemagnet);
+    EXPECT_TRUE(same_simulation(entry.paired.baseline, direct.baseline));
+    EXPECT_TRUE(same_simulation(entry.paired.ptemagnet, direct.ptemagnet));
 }
 
 TEST(SuiteTest, SweepRegistersNamedVariants)
@@ -255,12 +236,37 @@ TEST(SuiteTest, ScenarioResultJsonRoundTripsTheMetricSet)
                          .with_ptemagnet()
                          .with_measure_ops(5'000));
 
-    ScenarioResult reread =
-        scenario_result_from_json(Json::parse(to_json(run).dump(2)));
-    expect_identical(run, reread);
+    // The document parses back to itself, every metric value exact.
+    const Json doc = to_json(run);
+    const Json reread = Json::parse(doc.dump(2));
+    EXPECT_EQ(reread.dump(), doc.dump());
+    for (const auto &[name, value] : run.metrics.values())
+        EXPECT_EQ(reread.at("metrics").at(name).as_double(), value) << name;
     // Sanity: the metric set actually had content.
     EXPECT_TRUE(run.metrics.has("execution_time"));
     EXPECT_TRUE(run.metrics.has("host_pt_fragmentation"));
+}
+
+TEST(SuiteTest, SameSimulationSeesTheStatsSnapshot)
+{
+    ScenarioResult run = run_scenario(
+        ScenarioConfig(tiny_config("pagerank")).with_measure_ops(5'000));
+    ScenarioResult retimed = run;
+    retimed.host_seconds += 1.0;  // host timing is not simulated state
+    EXPECT_TRUE(same_simulation(run, retimed));
+
+    ScenarioResult diverged = run;
+    obs::StatSnapshot stats;
+    for (const obs::StatSnapshot::Entry &e : run.stats.entries()) {
+        if (e.is_histogram)
+            stats.add_histogram(e.path, e.histogram);
+        else
+            stats.add_counter(e.path, e.path == "vm0.buddy.alloc_calls"
+                                          ? e.value + 1
+                                          : e.value);
+    }
+    diverged.stats = stats;
+    EXPECT_FALSE(same_simulation(run, diverged));
 }
 
 TEST(SuiteTest, WritesWellFormedBenchJson)
@@ -290,12 +296,70 @@ TEST(SuiteTest, WritesWellFormedBenchJson)
     EXPECT_EQ(entries[0].at("kind").as_string(), "paired");
     EXPECT_EQ(entries[0].at("config").at("victim").as_string(),
               "pagerank");
-    ScenarioResult ptm_leg =
-        scenario_result_from_json(entries[0].at("ptemagnet"));
-    expect_identical(ptm_leg, result.at("pagerank").paired.ptemagnet);
+    // The written entry is exactly the in-memory result's document.
+    EXPECT_EQ(entries[0].at("ptemagnet").dump(),
+              to_json(result.at("pagerank").paired.ptemagnet).dump());
     EXPECT_DOUBLE_EQ(
         doc.at("summary").at("geomean_improvement_percent").as_double(),
         result.geomean());
+    std::remove(path.c_str());
+}
+
+TEST(SuiteTest, BadConfigValueFailsOnlyItsEntry)
+{
+    // Each value is first checked inside a running leg: it must fail its
+    // own entry, while the sibling completes and run() returns.
+    const ScenarioConfig good =
+        ScenarioConfig(tiny_config("pagerank")).with_measure_ops(5'000);
+    ExperimentSuite suite("suite_bad_config_test");
+    suite.add("good", good, RunKind::Single);
+    suite.sweep("ptm", "reservation_pages", std::vector<double>{64},
+                ScenarioConfig(good).with_ptemagnet(), RunKind::Single);
+    suite.add("thp", ScenarioConfig(good)
+                         .with_policy("reserve_thp")
+                         .with_policy_param("promotion_threshold", 513),
+              RunKind::Single);
+    suite.add("watermarks",
+              ScenarioConfig(good).with_overcommit(
+                  OvercommitPolicy{}.with_watermarks(256, 128)),
+              RunKind::Single);
+
+    SuiteOptions options = quiet(4);
+    options.write_json = true;
+    options.json_dir = ::testing::TempDir();
+    SuiteResult result = suite.run(options);
+
+    EXPECT_FALSE(result.at("good").failed());
+    EXPECT_GT(result.at("good").single.victim_ops, 0u);
+    EXPECT_EQ(result.failed_count(), 3u);
+    const std::pair<std::string, std::string> bad[] = {
+        {"ptm/reservation_pages=64", "reservation granularity 64 is not"},
+        {"thp", "promotion threshold 513 exceeds"},
+        {"watermarks", "high watermark below the low watermark"},
+    };
+    for (const auto &[name, message] : bad) {
+        const EntryResult &entry = result.at(name);
+        EXPECT_TRUE(entry.failed()) << name;
+        EXPECT_NE(entry.error.find(message), std::string::npos)
+            << entry.error;
+    }
+
+    // The BENCH file was written, recording each entry's status.
+    std::string path =
+        options.json_dir + "/BENCH_suite_bad_config_test.json";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << path;
+    std::stringstream text;
+    text << in.rdbuf();
+    const Json doc = Json::parse(text.str());
+    const JsonArray &entries = doc.at("entries").as_array();
+    ASSERT_EQ(entries.size(), 4u);
+    EXPECT_EQ(entries[0].at("status").as_string(), "ok");
+    for (std::size_t i = 1; i < entries.size(); ++i) {
+        EXPECT_EQ(entries[i].at("status").as_string(), "failed");
+        EXPECT_EQ(entries[i].at("error").as_string(),
+                  result.entries()[i].error);
+    }
     std::remove(path.c_str());
 }
 

@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "core/provider_factory.hpp"
 #include "vm/guest_kernel.hpp"
-#include "vm/provider_factory.hpp"
 #include "vm/reserve_thp_provider.hpp"
 #include "vm/virtual_address_space.hpp"
 
@@ -280,7 +280,7 @@ class ParkedFramesTest : public GuestKernelTest,
   protected:
     ParkedFramesTest()
     {
-        auto provider = make_provider(GetParam(), &kernel_, {});
+        auto provider = core::make_provider(GetParam(), &kernel_, {});
         provider_ = provider.get();
         kernel_.set_provider(std::move(provider));
     }
