@@ -1,17 +1,22 @@
 /**
  * @file
- * Ablation (paper §2.3): PTEMagnet vs a THP-like eager 2 MiB backing
- * policy vs the default kernel.
+ * Ablation: PTEMagnet vs an eager 2 MiB reservation policy vs the
+ * default kernel.
+ *
+ * The `thp` policy (`reserve_thp` promoting on first touch) reserves an
+ * aligned 2 MiB region of guest frames at a region's first fault and
+ * maps each of its pages with its own 4 KiB PTE: no page-table level,
+ * walker or TLB in the simulator knows a 2 MiB leaf. So it is not THP: it pays
+ * THP's memory cost without THP's shorter walk and larger TLB reach, and
+ * cannot speak for §2.3's comparison with huge pages.
  *
  * Two experiments:
- *  1. Dense workload (pagerank + objdet): both alternatives restore
- *     contiguity, so both speed up walks — THP is not *worse* on this
- *     axis; the paper's argument against it is elsewhere.
+ *  1. Dense workload (pagerank + objdet): both reservation policies
+ *     restore host-PT contiguity.
  *  2. Sparse application (touches every 16th page of a large mapping):
- *     THP backs 512 frames per touched region (huge internal
- *     fragmentation), while PTEMagnet reserves only 8 — and can return
- *     even those under pressure. This is the §2.3/§6.2 memory-overhead
- *     argument, quantified.
+ *     the eager policy backs 512 frames per touched region, while
+ *     PTEMagnet reserves only 8 — and can return even those under
+ *     pressure.
  */
 #include <cstdio>
 #include <memory>
@@ -122,11 +127,10 @@ sparse_experiment()
                         static_cast<unsigned long long>(reclaimed));
         }
     }
-    std::printf("\n(the THP consumed count includes 512 frames per "
-                "touched 2 MiB region —\nthe internal fragmentation that "
-                "keeps THP disabled in clouds, §2.3; PTEMagnet's\n"
-                "8-frame reservations cost 16x less and are reclaimable "
-                "without PT surgery.)\n");
+    std::printf("\n(the eager policy's consumed count includes 512 "
+                "frames per touched 2 MiB region;\nPTEMagnet's 8-frame "
+                "reservations cost 16x less and are reclaimable without\n"
+                "PT surgery.)\n");
 }
 
 }  // namespace

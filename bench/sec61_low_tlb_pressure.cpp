@@ -37,6 +37,6 @@ main()
                 any_regression
                     ? "REGRESSION DETECTED — violates the paper's claim!"
                     : "no slowdowns: PTEMagnet is safe to enable "
-                      "unconditionally (paper: 0-1%% gains here).");
+                      "unconditionally (paper: 0-1% gains here).");
     return result.failed_count() == 0 ? 0 : 1;
 }

@@ -12,7 +12,9 @@
  * the interior levels, one child pointer per entry: a leaf is exactly its
  * 512 PTEs (4 KiB), an interior node 512 {PTE, child} pairs (8 KiB). No
  * node records its own frame; each is read from the parent's entry, and
- * the table keeps only the root's.
+ * the table keeps only the root's. A leaf that unmap_range() leaves all
+ * zeros has no host copy at all: its frame stays in its parent's entry,
+ * and every operation reads it as a leaf of 512 empty entries.
  */
 #pragma once
 
@@ -63,15 +65,28 @@ class PageTable final : public TranslationTable {
      */
     bool map(std::uint64_t vpn, const PteFields &fields) override;
 
-    /// Remove a translation. Nodes are never freed before the table is:
-    /// an emptied node keeps its frame until the process exits (Linux
-    /// would free it at munmap; see ROADMAP.md).
+    /// Clear the leaf entry for @p vpn. No node frame is freed before the
+    /// table is: an emptied node keeps its frame until the process exits
+    /// (Linux would free it at munmap; see ROADMAP.md). The leaf keeps its
+    /// host copy too; only unmap_range() drops one.
     void unmap(std::uint64_t vpn) override;
+
+    /**
+     * unmap() every vpn in [@p begin_vpn, @p end_vpn) with one descent per
+     * leaf, calling @p on_unmapped after each present entry is cleared.
+     * After each leaf the range touched, its host copy is released if all
+     * 512 entries are empty. The leaf's frame stays allocated in its
+     * level-2 entry, so node_count(), frame accounting and every
+     * simulated address are unchanged.
+     */
+    void unmap_range(std::uint64_t begin_vpn, std::uint64_t end_vpn,
+                     const UnmapCallback &on_unmapped) override;
 
     /// Current leaf entry for @p vpn, if the whole path exists.
     std::optional<Pte> lookup(std::uint64_t vpn) const override;
 
-    /// Overwrite the leaf entry for an existing mapping (e.g. COW resolve).
+    /// Write the leaf entry for @p vpn (e.g. COW resolve); false if its
+    /// leaf node does not exist.
     bool update(std::uint64_t vpn, const PteFields &fields) override;
 
     /// TranslationTable walk: root to leaf, stopping after a non-present
@@ -90,6 +105,10 @@ class PageTable final : public TranslationTable {
 
     /// Total nodes currently allocated, all levels.
     std::uint64_t node_count() const override { return node_count_; }
+
+    /// Leaf nodes that have a host copy (diagnostics / tests): the leaf
+    /// nodes in node_count() minus those unmap_range() emptied.
+    std::uint64_t leaf_copies() const;
 
     std::string name() const override { return "radix"; }
 
@@ -110,14 +129,16 @@ class PageTable final : public TranslationTable {
     struct Node;
     using Leaf = Node<kPtLevels - 1>;
 
-    /// A leaf node and its frame, read from the parent entry.
-    struct LeafRef {
-        Leaf *leaf = nullptr;
-        std::uint64_t frame = 0;
+    /// An interior entry and the host copy of the node it maps.
+    template <class Child>
+    struct Slot {
+        Pte pte;
+        std::unique_ptr<Child> child;
     };
 
-    /// The leaf covering @p vpn; a null leaf when its path is incomplete.
-    LeafRef find_leaf(std::uint64_t vpn) const;
+    /// The level-2 entry that maps the leaf covering @p vpn; nullptr when
+    /// the path above it is incomplete.
+    Slot<Leaf> *leaf_slot(std::uint64_t vpn) const;
 
     FrameSource frames_;
     std::unique_ptr<Node<0>> root_;

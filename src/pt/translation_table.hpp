@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -54,6 +55,10 @@ struct WalkResult {
 /// Step buffer a walker hands to walk(); sized for any table.
 using WalkSteps = std::array<WalkStep, kMaxWalkSteps>;
 
+/// Called by TranslationTable::unmap_range() for each page it clears,
+/// with the page's old entry.
+using UnmapCallback = std::function<void(std::uint64_t vpn, Pte old)>;
+
 /**
  * Abstract translation structure. Not thread-safe; the owning kernel
  * serializes updates (walks from the simulated hardware walker are reads
@@ -73,6 +78,24 @@ class TranslationTable {
     /// Remove a translation. The frames that held it may be kept until
     /// the table is destroyed.
     virtual void unmap(std::uint64_t vpn) = 0;
+
+    /**
+     * Remove every translation in [@p begin_vpn, @p end_vpn), in
+     * ascending vpn order, calling @p on_unmapped right after each
+     * present entry is cleared. The callback must not touch this table.
+     * The default looks each vpn up and unmaps it.
+     */
+    virtual void
+    unmap_range(std::uint64_t begin_vpn, std::uint64_t end_vpn,
+                const UnmapCallback &on_unmapped)
+    {
+        for (std::uint64_t vpn = begin_vpn; vpn < end_vpn; ++vpn) {
+            if (std::optional<Pte> pte = lookup(vpn)) {
+                unmap(vpn);
+                on_unmapped(vpn, *pte);
+            }
+        }
+    }
 
     /// Current leaf entry for @p vpn, if mapped.
     virtual std::optional<Pte> lookup(std::uint64_t vpn) const = 0;

@@ -233,10 +233,9 @@ GuestKernel::fork(Process &parent)
 }
 
 void
-GuestKernel::unmap_one(Process &proc, std::uint64_t gvpn, pt::Pte pte)
+GuestKernel::release_unmapped(Process &proc, std::uint64_t gvpn, pt::Pte pte)
 {
     std::uint64_t gfn = pte.frame();
-    proc.page_table().unmap(gvpn);
     proc.add_rss(-1);
     stats_.pages_freed.inc();
     invalidate_translation(proc, gvpn);
@@ -258,11 +257,23 @@ GuestKernel::unmap_one(Process &proc, std::uint64_t gvpn, pt::Pte pte)
 }
 
 void
+GuestKernel::unmap_vma(Process &proc, const Vma &vma)
+{
+    proc.page_table().unmap_range(
+        vma.begin_page, vma.end_page,
+        [this, &proc](std::uint64_t gvpn, pt::Pte pte) {
+            release_unmapped(proc, gvpn, pte);
+        });
+}
+
+void
 GuestKernel::free_page(Process &proc, std::uint64_t gvpn)
 {
     std::optional<pt::Pte> pte = proc.page_table().lookup(gvpn);
-    if (pte)
-        unmap_one(proc, gvpn, *pte);
+    if (pte) {
+        proc.page_table().unmap(gvpn);
+        release_unmapped(proc, gvpn, *pte);
+    }
 }
 
 void
@@ -272,23 +283,14 @@ GuestKernel::free_region(Process &proc, Addr base)
     if (!vma)
         ptm_panic("free_region: 0x%llx is not a region base",
                   static_cast<unsigned long long>(base));
-    for (std::uint64_t vpn = vma->begin_page; vpn < vma->end_page; ++vpn) {
-        std::optional<pt::Pte> pte = proc.page_table().lookup(vpn);
-        if (pte)
-            unmap_one(proc, vpn, *pte);
-    }
+    unmap_vma(proc, *vma);
 }
 
 void
 GuestKernel::exit_process(Process &proc)
 {
-    for (const Vma &vma : proc.vas().vmas()) {
-        for (std::uint64_t vpn = vma.begin_page; vpn < vma.end_page; ++vpn) {
-            std::optional<pt::Pte> pte = proc.page_table().lookup(vpn);
-            if (pte)
-                unmap_one(proc, vpn, *pte);
-        }
-    }
+    for (const Vma &vma : proc.vas().vmas())
+        unmap_vma(proc, vma);
     provider_->on_process_exit(proc);
     processes_.erase(proc.pid());
 }

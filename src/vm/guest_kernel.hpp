@@ -213,7 +213,13 @@ class GuestKernel {
 
   private:
     pt::FrameSource pt_frame_source(std::int32_t pid);
-    void unmap_one(Process &proc, std::uint64_t gvpn, pt::Pte pte);
+    /// Unmap every page of @p vma, releasing each as it is cleared.
+    void unmap_vma(Process &proc, const Vma &vma);
+    /// Account for the page @p gvpn whose entry @p pte was just cleared:
+    /// RSS, the free counter and the TLB shootdown, then the frame goes
+    /// to its other COW sharers, the provider or the buddy. Touches no
+    /// page table.
+    void release_unmapped(Process &proc, std::uint64_t gvpn, pt::Pte pte);
     void invalidate_translation(Process &proc, std::uint64_t gvpn);
     /// Guest-OOM last resort: return every frame the provider parks
     /// (reservation tails) to the buddy, whatever the watermarks say.

@@ -242,7 +242,9 @@ ForkStormWorkload::request_op()
     if (r < 0.45) {
         // Request-local allocation: sequential writes into the arena.
         MemOp op{arena_base_ + arena_cursor_, true};
-        arena_cursor_ = (arena_cursor_ + kCacheLineSize) % arena_bytes_;
+        arena_cursor_ += kCacheLineSize;
+        if (arena_cursor_ >= arena_bytes_)
+            arena_cursor_ = 0;
         return op;
     }
     if (r < 0.85) {

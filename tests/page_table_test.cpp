@@ -1,18 +1,25 @@
 /**
  * @file
- * Unit tests for the PTE codec and the 4-level radix page table.
+ * Unit tests for the PTE codec and the 4-level radix page table, and
+ * for unmap_range() on both tables and through GuestKernel::free_region.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "mem/buddy_allocator.hpp"
+#include "pt/hashed_page_table.hpp"
 #include "pt/page_table.hpp"
 #include "pt/pte.hpp"
+#include "vm/guest_kernel.hpp"
 
 namespace ptm::pt {
 namespace {
@@ -291,6 +298,7 @@ class CountingFrames {
                         << "frame " << frame
                         << " released but not live (double release?)";
                     ++released_;
+                    release_order_.push_back(frame);
                 },
         };
     }
@@ -301,12 +309,18 @@ class CountingFrames {
     const std::set<std::uint64_t> &live() const { return live_; }
     std::uint64_t allocated() const { return allocated_; }
     std::uint64_t released() const { return released_; }
+    /// Every released frame, in release order.
+    const std::vector<std::uint64_t> &release_order() const
+    {
+        return release_order_;
+    }
 
   private:
     std::uint64_t next_ = 0;
     std::uint64_t allocated_ = 0;
     std::uint64_t released_ = 0;
     std::set<std::uint64_t> live_;
+    std::vector<std::uint64_t> release_order_;
 };
 
 /// Prefix of @p vpn that names its node at @p level (0 = root).
@@ -495,6 +509,327 @@ TEST(PageTableRandomized, WalkFramesComeFromParentEntries)
     }
     EXPECT_EQ(seen, frames.live());
     EXPECT_EQ(seen.size(), pt.node_count());
+}
+
+/**
+ * The first difference between what @p a and @p b report for @p vpn —
+ * walk steps, lookup and leaf slot address — or "" when they agree.
+ */
+std::string
+view_diff(const TranslationTable &a, const TranslationTable &b,
+          std::uint64_t vpn)
+{
+    const std::string at = " at vpn " + std::to_string(vpn);
+    WalkSteps sa{}, sb{};
+    const WalkResult wa = a.walk(vpn, sa);
+    const WalkResult wb = b.walk(vpn, sb);
+    if (wa.steps != wb.steps || wa.complete != wb.complete)
+        return "walk result" + at;
+    for (unsigned i = 0; i < wa.steps; ++i) {
+        if (sa[i].level != sb[i].level ||
+            sa[i].node_frame != sb[i].node_frame ||
+            sa[i].index != sb[i].index ||
+            sa[i].entry_paddr != sb[i].entry_paddr ||
+            sa[i].pte != sb[i].pte)
+            return "walk step " + std::to_string(i) + at;
+    }
+    if (a.lookup(vpn) != b.lookup(vpn))
+        return "lookup" + at;
+    if (a.leaf_entry_paddr(vpn) != b.leaf_entry_paddr(vpn))
+        return "leaf_entry_paddr" + at;
+    return "";
+}
+
+/// Pages cleared by one unmap, with their old entries, in clear order.
+using Cleared = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+Cleared
+unmap_range_of(TranslationTable &table, std::uint64_t begin,
+               std::uint64_t end)
+{
+    Cleared cleared;
+    table.unmap_range(begin, end, [&cleared](std::uint64_t vpn, Pte old) {
+        cleared.emplace_back(vpn, old.raw());
+    });
+    return cleared;
+}
+
+Cleared
+unmap_each_of(TranslationTable &table, std::uint64_t begin,
+              std::uint64_t end)
+{
+    Cleared cleared;
+    for (std::uint64_t vpn = begin; vpn < end; ++vpn) {
+        if (std::optional<Pte> pte = table.lookup(vpn)) {
+            table.unmap(vpn);
+            cleared.emplace_back(vpn, pte->raw());
+        }
+    }
+    return cleared;
+}
+
+/**
+ * unmap_range() against per-page unmap() on two radix tables fed the
+ * same maps from identical frame sources: random churn over eight leaves
+ * that straddle a level-2 node boundary, with ranges that cross leaves,
+ * half-leaf chunks, refaults and updates into leaves the range side
+ * emptied. Every walk, lookup, leaf slot, node count and frame
+ * allocation agrees after each step, the destructors release the same
+ * frames in the same order, and the range side holds fewer leaf copies.
+ */
+TEST(PageTableUnmapRange, MatchesPerPageUnmap)
+{
+    constexpr std::uint64_t kLeaf = kPtesPerNode;
+    // Leaves 508..511 of one level-2 node and 0..3 of the next.
+    const std::uint64_t base = (1ull << 18) - 4 * kLeaf;
+    const std::uint64_t span = 8 * kLeaf;
+    for (std::uint64_t seed : {3u, 17u, 29u}) {
+        CountingFrames range_frames;
+        CountingFrames page_frames;
+        std::uint64_t refaults = 0;
+        std::uint64_t update_refills = 0;
+        std::uint64_t most_dropped = 0;
+        {
+            PageTable ranged(range_frames.source());
+            PageTable paged(page_frames.source());
+            Rng rng(seed);
+            for (int step = 0; step < 2000; ++step) {
+                const std::uint64_t dice = rng.below(10);
+                const std::uint64_t copies_before = ranged.leaf_copies();
+                const std::uint64_t paged_before = paged.leaf_copies();
+                if (dice < 4) {
+                    // Fault in a run of pages.
+                    const std::uint64_t first = base + rng.below(span);
+                    const std::uint64_t last =
+                        std::min(first + 1 + rng.below(96), base + span);
+                    for (std::uint64_t vpn = first; vpn < last; ++vpn) {
+                        const PteFields fields{
+                            .writable = rng.below(2) != 0,
+                            .cow = rng.below(4) == 0,
+                            .frame = rng.below(1ull << 30)};
+                        ASSERT_TRUE(ranged.map(vpn, fields));
+                        ASSERT_TRUE(paged.map(vpn, fields));
+                    }
+                    if (ranged.leaf_copies() - copies_before >
+                        paged.leaf_copies() - paged_before)
+                        ++refaults;
+                } else if (dice < 7) {
+                    std::uint64_t begin = 0;
+                    std::uint64_t end = 0;
+                    switch (rng.below(3)) {
+                    case 0:  // a half-leaf chunk
+                        begin = base + rng.below(2 * 8) * (kLeaf / 2);
+                        end = begin + kLeaf / 2;
+                        break;
+                    case 1:  // a whole leaf
+                        begin = base + rng.below(8) * kLeaf;
+                        end = begin + kLeaf;
+                        break;
+                    default:  // anything up to three leaves, any offset
+                        begin = base - kLeaf + rng.below(span + kLeaf);
+                        end = begin + 1 + rng.below(3 * kLeaf);
+                        break;
+                    }
+                    ASSERT_EQ(unmap_range_of(ranged, begin, end),
+                              unmap_each_of(paged, begin, end))
+                        << "[" << begin << ", " << end << ")";
+                } else if (dice < 8) {
+                    const std::uint64_t vpn = base + rng.below(span);
+                    const PteFields fields{.writable = false,
+                                           .cow = true,
+                                           .frame = rng.below(1ull << 30)};
+                    ASSERT_EQ(ranged.update(vpn, fields),
+                              paged.update(vpn, fields));
+                    if (ranged.leaf_copies() > copies_before)
+                        ++update_refills;
+                } else {
+                    const std::uint64_t vpn = base + rng.below(span);
+                    ranged.unmap(vpn);
+                    paged.unmap(vpn);
+                }
+                ASSERT_EQ(ranged.node_count(), paged.node_count());
+                ASSERT_EQ(range_frames.allocated(), page_frames.allocated());
+                most_dropped = std::max(
+                    most_dropped, paged.leaf_copies() - ranged.leaf_copies());
+                // Sampled views each step, plus the whole window (and a
+                // leaf either side of it) every 100 steps.
+                for (int i = 0; i < 16; ++i) {
+                    const std::uint64_t vpn =
+                        base - kLeaf + rng.below(span + 2 * kLeaf);
+                    ASSERT_EQ(view_diff(ranged, paged, vpn), "");
+                }
+                if (step % 100 == 99) {
+                    for (std::uint64_t vpn = base - kLeaf;
+                         vpn < base + span + kLeaf; ++vpn)
+                        ASSERT_EQ(view_diff(ranged, paged, vpn), "");
+                }
+            }
+            ASSERT_EQ(view_diff(ranged, paged, 5ull << 27), "");
+        }
+        EXPECT_GT(most_dropped, 0u) << "seed " << seed;
+        EXPECT_GT(refaults, 0u) << "seed " << seed;
+        EXPECT_GT(update_refills, 0u) << "seed " << seed;
+        EXPECT_EQ(range_frames.release_order(), page_frames.release_order());
+        EXPECT_TRUE(range_frames.live().empty());
+    }
+}
+
+TEST(PageTableUnmapRange, EmptiedLeafReadsAsZeros)
+{
+    CountingFrames frames;
+    PageTable pt(frames.source());
+    const std::uint64_t vpn = (2ull << 18) + 5 * kPtesPerNode + 40;
+    ASSERT_TRUE(pt.map(vpn, {.frame = 99}));
+    WalkSteps mapped{};
+    ASSERT_TRUE(pt.walk(vpn, mapped).complete);
+    const std::uint64_t nodes = pt.node_count();
+    const std::uint64_t allocated = frames.allocated();
+
+    Cleared cleared = unmap_range_of(pt, vpn - 40, vpn + 472);
+    ASSERT_EQ(cleared.size(), 1u);
+    EXPECT_EQ(cleared[0].first, vpn);
+    EXPECT_EQ(Pte(cleared[0].second).frame(), 99u);
+    EXPECT_EQ(pt.leaf_copies(), 0u);
+    EXPECT_EQ(pt.node_count(), nodes);
+
+    // The same leaf step as before, with an empty entry.
+    WalkSteps steps{};
+    WalkResult walk = pt.walk(vpn, steps);
+    EXPECT_EQ(walk.steps, kPtLevels);
+    EXPECT_FALSE(walk.complete);
+    EXPECT_EQ(steps[3].level, 3u);
+    EXPECT_EQ(steps[3].node_frame, mapped[3].node_frame);
+    EXPECT_EQ(steps[3].index, mapped[3].index);
+    EXPECT_EQ(steps[3].entry_paddr, mapped[3].entry_paddr);
+    EXPECT_EQ(steps[3].pte, Pte{});
+    EXPECT_FALSE(pt.lookup(vpn).has_value());
+    EXPECT_EQ(pt.leaf_entry_paddr(vpn + 1),
+              std::optional<Addr>(mapped[3].entry_paddr + kPteSize));
+    pt.unmap(vpn);
+    EXPECT_EQ(pt.leaf_copies(), 0u);
+
+    // Writes re-create the copy on the same frame, allocating nothing.
+    EXPECT_TRUE(pt.update(vpn + 1, {.frame = 7}));
+    EXPECT_EQ(pt.leaf_copies(), 1u);
+    EXPECT_EQ(pt.leaf_entry_paddr(vpn + 1),
+              std::optional<Addr>(mapped[3].entry_paddr + kPteSize));
+    EXPECT_EQ(pt.lookup(vpn + 1)->frame(), 7u);
+    EXPECT_FALSE(pt.lookup(vpn).has_value());
+    unmap_range_of(pt, vpn, vpn + 2);
+    EXPECT_EQ(pt.leaf_copies(), 0u);
+    EXPECT_TRUE(pt.map(vpn, {.frame = 8}));
+    EXPECT_EQ(pt.leaf_copies(), 1u);
+    EXPECT_EQ(pt.node_count(), nodes);
+    EXPECT_EQ(frames.allocated(), allocated);
+    ASSERT_TRUE(pt.walk(vpn, steps).complete);
+    EXPECT_EQ(steps[3].node_frame, mapped[3].node_frame);
+
+    // A range that clears nothing still drops a leaf it finds empty, and
+    // ranges over missing paths, or ending at the top vpn, do nothing.
+    pt.unmap(vpn);
+    EXPECT_EQ(pt.leaf_copies(), 1u);
+    EXPECT_TRUE(unmap_range_of(pt, vpn + 100, vpn + 101).empty());
+    EXPECT_EQ(pt.leaf_copies(), 0u);
+    EXPECT_TRUE(unmap_range_of(pt, 0, 1ull << 20).empty());
+    EXPECT_TRUE(unmap_range_of(pt, ~0ull - 3, ~0ull).empty());
+    EXPECT_TRUE(unmap_range_of(pt, vpn, vpn).empty());
+    EXPECT_EQ(pt.node_count(), nodes);
+}
+
+/// The hashed table keeps the per-vpn default: unmap_range() is the
+/// lookup-and-unmap loop, entry for entry.
+TEST(HashedPageTableUnmapRange, MatchesPerVpnLoop)
+{
+    CountingFrames range_frames;
+    CountingFrames loop_frames;
+    {
+        HashedPageTable ranged(range_frames.source());
+        HashedPageTable looped(loop_frames.source());
+        Rng rng(41);
+        const std::uint64_t base = 1ull << 20;
+        const std::uint64_t span = 4 * kPtesPerNode;
+        for (int step = 0; step < 1500; ++step) {
+            if (rng.below(2) == 0) {
+                const std::uint64_t first = base + rng.below(span);
+                const std::uint64_t last =
+                    std::min(first + 1 + rng.below(64), base + span);
+                for (std::uint64_t vpn = first; vpn < last; ++vpn) {
+                    const PteFields fields{.frame = rng.below(1ull << 30)};
+                    ASSERT_TRUE(ranged.map(vpn, fields));
+                    ASSERT_TRUE(looped.map(vpn, fields));
+                }
+            } else {
+                const std::uint64_t begin = base + rng.below(span);
+                const std::uint64_t end = begin + 1 + rng.below(700);
+                ASSERT_EQ(unmap_range_of(ranged, begin, end),
+                          unmap_each_of(looped, begin, end));
+            }
+            ASSERT_EQ(ranged.node_count(), looped.node_count());
+            ASSERT_EQ(ranged.entry_count(), looped.entry_count());
+            for (int i = 0; i < 16; ++i) {
+                const std::uint64_t vpn = base + rng.below(span);
+                ASSERT_EQ(view_diff(ranged, looped, vpn), "");
+            }
+        }
+    }
+    EXPECT_EQ(range_frames.release_order(), loop_frames.release_order());
+}
+
+/**
+ * GuestKernel churn through free_region(): mmap half-leaf regions, fault
+ * most of their pages in, munmap the oldest. RSS, pages_freed and the
+ * guest buddy's free frames follow the test's own page list, node
+ * frames never fall, and exactly the leaves holding a mapped page keep a
+ * host copy.
+ */
+TEST(GuestKernelUnmapRange, ChurnKeepsFrameAccounting)
+{
+    constexpr std::uint64_t kFrames = 1u << 14;
+    vm::GuestKernel guest(kFrames);
+    vm::Process &proc = guest.create_process("churn");
+    const auto *table = dynamic_cast<const PageTable *>(&proc.page_table());
+    ASSERT_NE(table, nullptr);
+
+    Rng rng(13);
+    std::deque<Addr> live;
+    std::set<std::uint64_t> mapped;
+    std::uint64_t freed = 0;
+    const Addr region_bytes = kPtesPerNode / 2 * kPageSize;
+    for (int round = 0; round < 120; ++round) {
+        const Addr base = proc.vas().mmap(region_bytes);
+        live.push_back(base);
+        const std::uint64_t first = page_number(base);
+        for (std::uint64_t vpn = first; vpn < first + kPtesPerNode / 2;
+             ++vpn) {
+            if (rng.below(4) == 0)
+                continue;
+            ASSERT_TRUE(guest.handle_fault(proc, vpn).ok);
+            mapped.insert(vpn);
+        }
+        if (live.size() > 3) {
+            const std::uint64_t gone = page_number(live.front());
+            const std::uint64_t nodes = table->node_count();
+            guest.free_region(proc, live.front());
+            live.pop_front();
+            EXPECT_GE(table->node_count(), nodes);
+            auto from = mapped.lower_bound(gone);
+            auto to = mapped.lower_bound(gone + kPtesPerNode / 2);
+            freed += static_cast<std::uint64_t>(std::distance(from, to));
+            mapped.erase(from, to);
+        }
+        ASSERT_EQ(proc.rss_pages(), mapped.size());
+        ASSERT_EQ(guest.stats().pages_freed.value(), freed);
+        ASSERT_EQ(guest.buddy().free_frames_count(),
+                  kFrames - mapped.size() - table->node_count());
+        std::set<std::uint64_t> leaves;
+        for (std::uint64_t vpn : mapped)
+            leaves.insert(vpn / kPtesPerNode);
+        ASSERT_EQ(table->leaf_copies(), leaves.size());
+    }
+    EXPECT_GT(freed, 0u);
+    guest.exit_process(proc);
+    EXPECT_EQ(guest.stats().pages_freed.value(), freed + mapped.size());
+    EXPECT_EQ(guest.buddy().free_frames_count(), kFrames);
 }
 
 }  // namespace
